@@ -443,34 +443,8 @@ def charpoly_reduction_check(matrix, p: int
         raise ValueError(f"reduction modulus must be prime, got {p}")
     ints = charpoly_int(matrix)
     reduced = [c % p for c in ints]
-    modp = charpoly_mod(matrix, p) if p % 2 else _charpoly_mod2(matrix)
+    modp = charpoly_mod(matrix, p)
     return reduced == modp, ints, modp
-
-
-def _charpoly_mod2(matrix) -> List[int]:
-    """charpoly_mod for p = 2 (kept out of FqMatrix, which wants odd q)."""
-    a = (np.asarray(matrix, dtype=np.int64) % 2).tolist()
-    n = len(a)
-    poly_desc = [1]
-    for r in range(n):
-        row = a[r][:r]
-        col = [a[j][r] for j in range(r)]
-        moments = []
-        vec = col[:]
-        for k in range(r):
-            moments.append(sum(row[j] * vec[j] for j in range(r)) % 2)
-            if k < r - 1:
-                vec = [sum(a[i][j] * vec[j] for j in range(r)) % 2
-                       for i in range(r)]
-        taps = [1, a[r][r]] + moments
-        new = [0] * (r + 2)
-        for i in range(r + 2):
-            acc = 0
-            for j in range(max(0, i - len(taps) + 1), min(i, len(poly_desc) - 1) + 1):
-                acc += taps[i - j] * poly_desc[j]
-            new[i] = acc % 2
-        poly_desc = new
-    return poly_desc[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1044,6 +1044,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # inputs whose numbers leave the float range, such as huge radii
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     wall = time.perf_counter() - started
 
     if isinstance(outcome, str):

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .rng import sample_stream, worker_count
+from .rng import sample_stream
 
 __all__ = [
     "PointCloud",
@@ -40,7 +39,7 @@ DEFAULT_SAMPLES = 10**6
 
 # Fixed Monte-Carlo chunk: sample i always lives in chunk i // _CHUNK and is
 # drawn from the stream keyed by (seed, chunk start), so estimates do not
-# depend on how many workers split the chunks.
+# depend on how the samples are grouped.
 _CHUNK = 1 << 16
 
 _SUPPORTED_DIMS = (1, 2, 3)
@@ -300,8 +299,8 @@ def union_volume(
 
     Samples are uniform in the joint bounding box of the body and its image.
     Sample ``i`` is a pure function of ``(seed, i)``: chunks of fixed size
-    are keyed by their first sample index, so the result is independent of
-    the worker count (``FATFLAT_THREADS``) and reproducible bit for bit.
+    are keyed by their first sample index, so the result is reproducible
+    bit for bit.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -311,24 +310,11 @@ def union_volume(
     span = hi - lo
     box_volume = float(np.prod(span))
 
-    starts = list(range(0, samples, _CHUNK))
-    jobs = [(start, min(_CHUNK, samples - start)) for start in starts]
-    workers = worker_count()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(
-                    lambda job: _count_chunk(
-                        seed, job[0], job[1], lo, span, body, moved
-                    ),
-                    jobs,
-                )
-            )
-    else:
-        counts = [
-            _count_chunk(seed, start, count, lo, span, body, moved)
-            for start, count in jobs
-        ]
+    counts = [
+        _count_chunk(seed, start, min(_CHUNK, samples - start), lo, span,
+                     body, moved)
+        for start in range(0, samples, _CHUNK)
+    ]
     body_hits = sum(c[0] for c in counts)
     union_hits = sum(c[1] for c in counts)
 

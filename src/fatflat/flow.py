@@ -6,6 +6,13 @@ fourth-order Runge-Kutta scheme.  A fixed step keeps runs exactly
 reproducible: the sample grid, and therefore every downstream reduction, is
 a pure function of (chart, initial state, duration, step).
 
+Geodesics, parallel frames and the comparison operator all run through one
+RK4 driver over a list of state components.  Each stage evaluates the
+chart's acceleration jet (the profile jet, the axis coefficients or the
+Christoffel symbols) once at its position; the geodesic acceleration and
+the transport rate of every frame vector are quadratic forms built from
+that jet.
+
 Chart policy: the Cartesian chart is regular across the axis and is the
 right place to integrate whenever an orbit may approach radius zero; the
 diagonal charts are cheaper and better conditioned at large radius.  The
@@ -232,90 +239,92 @@ def _energy_series(chart: MetricChart, positions: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # acceleration fields
+#
+# A chart's geodesic acceleration is form(jet(pos), pos, vel): the jet holds
+# everything that depends on the position alone, and the form is quadratic
+# in the velocity.  An RK4 stage evaluates the jet once and reuses it for the
+# acceleration and for every polarized frame rate.
 
 
-def _accel_cartesian(chart: MetricChart) -> Callable:
-    profile = chart.profile
-    d = chart.block_dim
-
-    def acc(pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
-        x = pos[:d]
-        vb = vel[:d]
-        vz = vel[d]
-        r = math.sqrt(float(x @ x))
-        a, b, apr, bpr, tau2, tpr = axis_coefficients(profile, r)
-        s = float(x @ vb)
-        q = float(vb @ vb)
-        c = bpr * s * s + 2.0 * b * q - apr * q - tpr * vz * vz
-        w = (2.0 * apr * s) * vb + c * x
-        xw = float(x @ w)
-        out = np.empty(d + 1)
-        out[:d] = -(w - (b * xw) * x) / (2.0 * a)
-        out[d] = -tpr * s * vz / tau2
-        return out
-
-    return acc
-
-
-def _accel_polar3(chart: MetricChart) -> Callable:
-    profile = chart.profile
-
-    def acc(pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
-        r = pos[0]
-        vr = vel[0]
-        vt = vel[1]
-        vz = vel[2]
-        sg, dsg, _, tu, dtu, _ = profile.sigma_tau(r)
-        # grouped as (warp * rate) products: the factors overflow/underflow
-        # separately at large radius while the products stay ordinary
-        return np.array([
-            (sg * vt) * (dsg * vt) + (tu * vz) * (dtu * vz),
+def _form_polar3(jet, pos, vel):
+    """Acceleration on the 3-coordinate diagonal chart from the profile jet,
+    for plain-float and array velocities alike."""
+    sg, dsg, _, tu, dtu, _ = jet
+    vr, vt, vz = vel
+    # grouped as (warp * rate) products: the factors overflow/underflow
+    # separately at large radius while the products stay ordinary
+    return ((sg * vt) * (dsg * vt) + (tu * vz) * (dtu * vz),
             -2.0 * (dsg / sg) * vr * vt,
-            -2.0 * (dtu / tu) * vr * vz,
-        ])
-
-    return acc
+            -2.0 * (dtu / tu) * vr * vz)
 
 
-def _accel_generic(chart: MetricChart) -> Callable:
-    def acc(pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
-        gamma = christoffel(chart.point(pos))
-        return -np.einsum("ijk,j,k->i", gamma, vel, vel)
-
-    return acc
-
-
-def _acceleration(chart: MetricChart) -> Callable:
+def _acceleration(chart: MetricChart) -> Tuple[Callable, Callable]:
+    """(jet, form) with geodesic acceleration form(jet(pos), pos, vel)."""
+    profile = chart.profile
     if chart.kind == CARTESIAN:
-        return _accel_cartesian(chart)
+        d = chart.block_dim
+
+        def jet(pos):
+            x = pos[:d]
+            return axis_coefficients(profile, math.sqrt(float(x @ x)))
+
+        def form(coeffs, pos, vel):
+            a, b, apr, bpr, tau2, tpr = coeffs
+            x = pos[:d]
+            vb = vel[:d]
+            vz = vel[d]
+            s = float(x @ vb)
+            q = float(vb @ vb)
+            c = bpr * s * s + 2.0 * b * q - apr * q - tpr * vz * vz
+            w = (2.0 * apr * s) * vb + c * x
+            xw = float(x @ w)
+            out = np.empty(d + 1)
+            out[:d] = -(w - (b * xw) * x) / (2.0 * a)
+            out[d] = -tpr * s * vz / tau2
+            return out
+
+        return jet, form
     if chart.kind == POLAR and chart.n == 1:
-        return _accel_polar3(chart)
-    return _accel_generic(chart)
+        return (lambda pos: profile.sigma_tau(pos[0]),
+                lambda st, pos, vel: np.array(_form_polar3(st, pos, vel)))
+    return (lambda pos: christoffel(chart.point(pos)),
+            lambda gamma, pos, vel: -np.einsum("ijk,j,k->i", gamma, vel, vel))
 
 
-def _exit_check(chart: MetricChart):
-    """Returns a predicate giving a reason string when a chart must be left."""
+def _frame_rates(form: Callable, jet, pos, vel, w_rows: np.ndarray
+                 ) -> np.ndarray:
+    """Transport rates -Gamma(v, w) of each row w, from the polarization
+    identity G(v, w) = (G(v+w, v+w) - G(v-w, v-w)) / 4 of the quadratic
+    acceleration form at one jet."""
+    out = np.empty_like(w_rows)
+    for i, w in enumerate(w_rows):
+        out[i] = 0.25 * (form(jet, pos, vel + w) - form(jet, pos, vel - w))
+    return out
+
+
+def _exit_guard(chart: MetricChart, h: float,
+                partial: Optional[Callable] = None) -> Callable:
+    """guard(i, pos, vel) raises :class:`ChartExitError` at node ``i`` when
+    the orbit must leave ``chart``; ``partial()`` builds the path so far."""
     if chart.kind == CARTESIAN:
-        return lambda pos: None
-    if chart.kind == POLAR and chart.n == 1:
-        def check3(pos):
-            if pos[0] < POLAR_EXIT_RADIUS:
-                return "radius below the diagonal-chart floor"
-            return None
-        return check3
-    # remaining diagonal charts also carry polar angles with poles at 0, pi
-    n_angles = (1 if chart.kind == FOUR_D else chart.block_dim - 2)
+        return lambda i, pos, vel: None
+    # diagonal charts also carry polar angles with poles at 0, pi
+    n_angles = 1 if chart.kind == FOUR_D else chart.block_dim - 2
 
-    def check(pos):
+    def guard(i, pos, vel):
+        why = None
         if pos[0] < POLAR_EXIT_RADIUS:
-            return "radius below the diagonal-chart floor"
-        for i in range(n_angles):
-            th = pos[1 + i]
-            if th < ANGLE_EXIT_MARGIN or th > math.pi - ANGLE_EXIT_MARGIN:
-                return "polar angle reached a coordinate pole"
-        return None
+            why = "radius below the diagonal-chart floor"
+        else:
+            for th in pos[1:1 + n_angles]:
+                if th < ANGLE_EXIT_MARGIN or th > math.pi - ANGLE_EXIT_MARGIN:
+                    why = "polar angle reached a coordinate pole"
+                    break
+        if why is not None:
+            raise ChartExitError(why, i * h, PhaseState(pos, vel),
+                                 partial() if partial else None)
 
-    return check
+    return guard
 
 
 def _step_count(duration: float, step: float) -> Tuple[int, float]:
@@ -327,74 +336,30 @@ def _step_count(duration: float, step: float) -> Tuple[int, float]:
     return n, duration / n
 
 
-# ---------------------------------------------------------------------------
-# geodesic integration
+def _rk4(rhs: Callable, y: list, n_steps: int, h: float, before: Callable,
+         after: Callable) -> list:
+    """Classical RK4 over a state held as a list of components (plain
+    floats or arrays); ``rhs(y)`` returns the list of component rates.
 
-
-def _run_scalar_polar3(chart: MetricChart, state: PhaseState, n_steps: int,
-                       h: float, record_every: int) -> GeodesicPath:
-    """RK4 loop for the 3-coordinate diagonal chart written in plain floats;
-    equivalent to the generic loop but without per-stage array traffic."""
-    sigma_tau = chart.profile.sigma_tau
-    r, th, z = (float(c) for c in state.position)
-    vr, vt, vz = (float(c) for c in state.velocity)
-    times = [0.0]
-    rows_p = [(r, th, z)]
-    rows_v = [(vr, vt, vz)]
+    ``before(i, y)`` sees node i ahead of step i and may raise;
+    ``after(i, y)`` sees node i + 1 and may raise or replace components.
+    """
     half = 0.5 * h
     sixth = h / 6.0
-
-    def acc(r_, vr_, vt_, vz_):
-        sg, dsg, _, tu, dtu, _ = sigma_tau(r_)
-        # grouped so huge warp factors meet tiny rates before multiplying
-        return ((sg * vt_) * (dsg * vt_) + (tu * vz_) * (dtu * vz_),
-                -2.0 * (dsg / sg) * vr_ * vt_,
-                -2.0 * (dtu / tu) * vr_ * vz_)
-
-    def partial_path():
-        return GeodesicPath(chart, h, np.array(times), np.array(rows_p),
-                            np.array(rows_v))
-
     for i in range(n_steps):
-        if r < POLAR_EXIT_RADIUS:
-            raise ChartExitError("radius below the diagonal-chart floor",
-                                 i * h, PhaseState((r, th, z), (vr, vt, vz)),
-                                 partial_path())
-        ar1, at1, az1 = acc(r, vr, vt, vz)
-        vr2 = vr + half * ar1
-        vt2 = vt + half * at1
-        vz2 = vz + half * az1
-        ar2, at2, az2 = acc(r + half * vr, vr2, vt2, vz2)
-        vr3 = vr + half * ar2
-        vt3 = vt + half * at2
-        vz3 = vz + half * az2
-        ar3, at3, az3 = acc(r + half * vr2, vr3, vt3, vz3)
-        vr4 = vr + h * ar3
-        vt4 = vt + h * at3
-        vz4 = vz + h * az3
-        ar4, at4, az4 = acc(r + h * vr3, vr4, vt4, vz4)
-        r += sixth * (vr + 2.0 * (vr2 + vr3) + vr4)
-        th += sixth * (vt + 2.0 * (vt2 + vt3) + vt4)
-        z += sixth * (vz + 2.0 * (vz2 + vz3) + vz4)
-        vr += sixth * (ar1 + 2.0 * (ar2 + ar3) + ar4)
-        vt += sixth * (at1 + 2.0 * (at2 + at3) + at4)
-        vz += sixth * (az1 + 2.0 * (az2 + az3) + az4)
-        if not (math.isfinite(r) and math.isfinite(vr) and math.isfinite(vt)
-                and math.isfinite(vz)):
-            raise ChartExitError("non-finite state", (i + 1) * h,
-                                 PhaseState(rows_p[-1], rows_v[-1]),
-                                 partial_path())
-        if (i + 1) % record_every == 0 or i + 1 == n_steps:
-            times.append((i + 1) * h)
-            rows_p.append((r, th, z))
-            rows_v.append((vr, vt, vz))
+        before(i, y)
+        k1 = rhs(y)
+        k2 = rhs([c + half * k for c, k in zip(y, k1)])
+        k3 = rhs([c + half * k for c, k in zip(y, k2)])
+        k4 = rhs([c + h * k for c, k in zip(y, k3)])
+        y = [c + sixth * (a + 2.0 * (b + e) + d)
+             for c, a, b, e, d in zip(y, k1, k2, k3, k4)]
+        after(i, y)
+    return y
 
-    if r < POLAR_EXIT_RADIUS:
-        raise ChartExitError("radius below the diagonal-chart floor",
-                             n_steps * h, PhaseState((r, th, z), (vr, vt, vz)),
-                             partial_path())
-    return GeodesicPath(chart, h, np.array(times), np.array(rows_p),
-                        np.array(rows_v))
+
+# ---------------------------------------------------------------------------
+# geodesic integration
 
 
 def integrate_geodesic(chart: MetricChart, state: PhaseState, duration: float,
@@ -410,53 +375,54 @@ def integrate_geodesic(chart: MetricChart, state: PhaseState, duration: float,
         raise ValueError("record_every must be >= 1")
     chart.point(state.position)  # validates chart membership
     n_steps, h = _step_count(duration, step)
+    jet, form = _acceleration(chart)
     if chart.kind == POLAR and chart.n == 1:
-        return _run_scalar_polar3(chart, state, n_steps, h, record_every)
-    acc = _acceleration(chart)
-    check = _exit_check(chart)
+        # plain floats (r, theta, z, vr, vt, vz): the busiest chart skips
+        # the per-stage array traffic
+        y = [float(c) for c in (*state.position, *state.velocity)]
 
-    pos = state.position.copy()
-    vel = state.velocity.copy()
-    times = [0.0]
-    positions = [pos.copy()]
-    velocities = [vel.copy()]
+        def rhs(y):
+            vel = y[3:]
+            return [*vel, *_form_polar3(jet(y), y, vel)]  # jet reads y[0] = r
 
-    half = 0.5 * h
-    sixth = h / 6.0
+        def phase(y):
+            return y[:3], y[3:]
+    else:
+        y = [state.position, state.velocity]
 
-    def partial_path():
+        def rhs(y):
+            pos, vel = y
+            return [vel, form(jet(pos), pos, vel)]
+
+        def phase(y):
+            return y[0], y[1]
+
+    pos, vel = phase(y)
+    times, positions, velocities = [0.0], [pos], [vel]
+
+    def path():
         return GeodesicPath(chart, h, np.array(times), np.array(positions),
                             np.array(velocities))
 
-    for i in range(n_steps):
-        reason = check(pos)
-        if reason is not None:
-            raise ChartExitError(reason, i * h, PhaseState(pos, vel),
-                                 partial_path())
-        a1 = acc(pos, vel)
-        v2 = vel + half * a1
-        a2 = acc(pos + half * vel, v2)
-        v3 = vel + half * a2
-        a3 = acc(pos + half * v2, v3)
-        v4 = vel + h * a3
-        a4 = acc(pos + h * v3, v4)
-        pos = pos + sixth * (vel + 2.0 * (v2 + v3) + v4)
-        vel = vel + sixth * (a1 + 2.0 * (a2 + a3) + a4)
-        if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(vel)):
+    guard = _exit_guard(chart, h, path)
+
+    def before(i, y):
+        guard(i, *phase(y))
+
+    def after(i, y):
+        pos, vel = phase(y)
+        if not (all(map(math.isfinite, pos))
+                and all(map(math.isfinite, vel))):
             raise ChartExitError("non-finite state", (i + 1) * h,
                                  PhaseState(positions[-1], velocities[-1]),
-                                 partial_path())
+                                 path())
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
             times.append((i + 1) * h)
-            positions.append(pos.copy())
-            velocities.append(vel.copy())
+            positions.append(pos)
+            velocities.append(vel)
 
-    reason = check(pos)
-    if reason is not None:
-        raise ChartExitError(reason, n_steps * h, PhaseState(pos, vel),
-                             partial_path())
-    return GeodesicPath(chart, h, np.array(times), np.array(positions),
-                        np.array(velocities))
+    before(n_steps, _rk4(rhs, y, n_steps, h, before, after))
+    return path()
 
 
 def switch_chart(chart: MetricChart, state: PhaseState,
@@ -487,15 +453,21 @@ def preferred_kind(radius: float) -> str:
 # parallel transport
 
 
+def _inner(chart: MetricChart, position: np.ndarray, a: np.ndarray,
+           b: np.ndarray) -> float:
+    """g(a, b) by polarization of :func:`kinetic_energy`."""
+    return 0.25 * (kinetic_energy(chart, position, a + b)
+                   - kinetic_energy(chart, position, a - b))
+
+
 def _gram(chart: MetricChart, position: np.ndarray,
           vectors: np.ndarray) -> np.ndarray:
     m = len(vectors)
     g = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            val = kinetic_energy(chart, position, vectors[i] + vectors[j])
-            val -= kinetic_energy(chart, position, vectors[i] - vectors[j])
-            g[i, j] = g[j, i] = 0.25 * val
+            g[i, j] = g[j, i] = _inner(chart, position, vectors[i],
+                                       vectors[j])
     return g
 
 
@@ -505,64 +477,34 @@ def parallel_transport(path: GeodesicPath, frame: Sequence[np.ndarray],
 
     The frame rides along the same RK4 stages as the base geodesic, which
     is re-integrated from the path's initial sample at the path's step (or
-    ``step`` when given); the transport right-hand side uses the
-    polarization identity G(v, w) = (G(v+w, v+w) - G(v-w, v-w)) / 4 of the
-    quadratic geodesic-acceleration form, so no Christoffel assembly is
-    needed on charts with a fast acceleration path.
+    ``step`` when given).  Each stage evaluates the chart's acceleration
+    jet once and builds from it both the geodesic acceleration and each
+    frame vector's transport rate: the acceleration form polarized between
+    the velocity and that vector.
     """
     chart = path.chart
     state = path.state(0)
-    duration = path.duration
     if step is None:
         step = path.step
     chart.point(state.position)
-    n_steps, h = _step_count(duration, step)
-    acc = _acceleration(chart)
-    check = _exit_check(chart)
+    n_steps, h = _step_count(path.duration, step)
+    jet, form = _acceleration(chart)
+    guard = _exit_guard(chart, h)
 
     w0 = np.array([np.asarray(w, dtype=float) for w in frame])
     if w0.ndim != 2 or w0.shape[1] != chart.dim:
         raise ValueError("frame must be a list of tangent vectors")
     gram0 = _gram(chart, state.position, w0)
 
-    def dw(pos, vel, w_rows):
-        out = np.empty_like(w_rows)
-        for i, w in enumerate(w_rows):
-            out[i] = 0.25 * (acc(pos, vel + w) - acc(pos, vel - w))
-        return out
+    def rhs(y):
+        pos, vel, w = y
+        at = jet(pos)
+        return [vel, form(at, pos, vel), _frame_rates(form, at, pos, vel, w)]
 
-    pos = state.position.copy()
-    vel = state.velocity.copy()
-    w = w0.copy()
-    half = 0.5 * h
-    sixth = h / 6.0
-    for i in range(n_steps):
-        reason = check(pos)
-        if reason is not None:
-            raise ChartExitError(reason, i * h, PhaseState(pos, vel))
-        a1 = acc(pos, vel)
-        dw1 = dw(pos, vel, w)
-        p2 = pos + half * vel
-        v2 = vel + half * a1
-        a2 = acc(p2, v2)
-        dw2 = dw(p2, v2, w + half * dw1)
-        p3 = pos + half * v2
-        v3 = vel + half * a2
-        a3 = acc(p3, v3)
-        dw3 = dw(p3, v3, w + half * dw2)
-        p4 = pos + h * v3
-        v4 = vel + h * a3
-        a4 = acc(p4, v4)
-        dw4 = dw(p4, v4, w + h * dw3)
-        pos = pos + sixth * (vel + 2.0 * (v2 + v3) + v4)
-        vel = vel + sixth * (a1 + 2.0 * (a2 + a3) + a4)
-        w = w + sixth * (dw1 + 2.0 * (dw2 + dw3) + dw4)
-
-    reason = check(pos)
-    if reason is not None:
-        raise ChartExitError(reason, n_steps * h, PhaseState(pos, vel))
-    gram1 = _gram(chart, pos, w)
-    defect = float(np.max(np.abs(gram1 - gram0)))
+    pos, vel, w = _rk4(rhs, [state.position, state.velocity, w0], n_steps, h,
+                       lambda i, y: guard(i, y[0], y[1]), lambda i, y: None)
+    guard(n_steps, pos, vel)
+    defect = float(np.max(np.abs(_gram(chart, pos, w) - gram0)))
     return TransportResult(w, PhaseState(pos, vel), defect)
 
 
@@ -574,12 +516,7 @@ def _normal_frame(chart: MetricChart, position: np.ndarray,
                   velocity: np.ndarray) -> np.ndarray:
     """Metric-orthonormal basis of the normal space of ``velocity``."""
     dim = chart.dim
-
-    def inner(a, b):
-        return 0.25 * (kinetic_energy(chart, position, a + b)
-                       - kinetic_energy(chart, position, a - b))
-
-    vnorm = inner(velocity, velocity)
+    vnorm = _inner(chart, position, velocity, velocity)
     if vnorm <= 0.0:
         raise ValueError("velocity must be nonzero")
     basis = [velocity / math.sqrt(vnorm)]
@@ -587,8 +524,8 @@ def _normal_frame(chart: MetricChart, position: np.ndarray,
         cand = np.zeros(dim)
         cand[k] = 1.0
         for b in basis:
-            cand = cand - inner(cand, b) * b
-        nrm = inner(cand, cand)
+            cand = cand - _inner(chart, position, cand, b) * b
+        nrm = _inner(chart, position, cand, cand)
         if nrm > 1e-12:
             basis.append(cand / math.sqrt(nrm))
         if len(basis) == dim:
@@ -629,21 +566,13 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
     if c0 <= 0.0:
         raise ValueError("c0 must be positive")
     n_steps, h = _step_count(duration, step)
-    acc = _acceleration(chart)
-    check = _exit_check(chart)
+    jet, form = _acceleration(chart)
+    guard = _exit_guard(chart, h)
     profile = chart.profile
 
-    pos = state.position.copy()
-    vel = state.velocity.copy()
-    frame = _normal_frame(chart, pos, vel)
+    frame = _normal_frame(chart, state.position, state.velocity)
     m = len(frame)
     u = c0 * np.eye(m)
-
-    def dw(pos_, vel_, w_rows):
-        out = np.empty_like(w_rows)
-        for i, wv in enumerate(w_rows):
-            out[i] = 0.25 * (acc(pos_, vel_ + wv) - acc(pos_, vel_ - wv))
-        return out
 
     def curvature_operator(pos_, vel_, w_rows):
         r = chart.radius_of(pos_)
@@ -667,58 +596,35 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
                 mat[i, j] = mat[j, i] = 0.25 * (plus - minus)
         return mat
 
-    def du(pos_, vel_, w_rows, u_mat):
-        return -(u_mat @ u_mat) - curvature_operator(pos_, vel_, w_rows)
+    def rhs(y):
+        pos_, vel_, w_rows, u_mat = y
+        at = jet(pos_)
+        return [vel_, form(at, pos_, vel_),
+                _frame_rates(form, at, pos_, vel_, w_rows),
+                -(u_mat @ u_mat) - curvature_operator(pos_, vel_, w_rows)]
 
     max_eig_allowed = 1.0 / h
     rec_times = [0.0]
     rec_traces = [float(np.trace(u))]
-    half = 0.5 * h
-    sixth = h / 6.0
-    for i in range(n_steps):
-        reason = check(pos)
-        if reason is not None:
-            raise ChartExitError(reason, i * h, PhaseState(pos, vel))
-        if _gershgorin_upper(u) > max_eig_allowed:
-            exact = float(np.max(np.linalg.eigvalsh(u)))
+
+    def before(i, y):
+        guard(i, y[0], y[1])
+        if _gershgorin_upper(y[3]) > max_eig_allowed:
+            exact = float(np.max(np.linalg.eigvalsh(y[3])))
             if exact > max_eig_allowed:
                 raise RiccatiBlowupError(
                     "comparison operator eigenvalue exceeded 1/step", i * h)
-        a1 = acc(pos, vel)
-        dw1 = dw(pos, vel, frame)
-        du1 = du(pos, vel, frame, u)
-        p2 = pos + half * vel
-        v2 = vel + half * a1
-        a2 = acc(p2, v2)
-        w2 = frame + half * dw1
-        u2 = u + half * du1
-        dw2 = dw(p2, v2, w2)
-        du2 = du(p2, v2, w2, u2)
-        p3 = pos + half * v2
-        v3 = vel + half * a2
-        a3 = acc(p3, v3)
-        w3 = frame + half * dw2
-        u3 = u + half * du2
-        dw3 = dw(p3, v3, w3)
-        du3 = du(p3, v3, w3, u3)
-        p4 = pos + h * v3
-        v4 = vel + h * a3
-        a4 = acc(p4, v4)
-        w4 = frame + h * dw3
-        u4 = u + h * du3
-        dw4 = dw(p4, v4, w4)
-        du4 = du(p4, v4, w4, u4)
-        pos = pos + sixth * (vel + 2.0 * (v2 + v3) + v4)
-        vel = vel + sixth * (a1 + 2.0 * (a2 + a3) + a4)
-        frame = frame + sixth * (dw1 + 2.0 * (dw2 + dw3) + dw4)
-        u = u + sixth * (du1 + 2.0 * (du2 + du3) + du4)
-        u = 0.5 * (u + u.T)
-        if not np.all(np.isfinite(u)):
+
+    def after(i, y):
+        u_mat = y[3] = 0.5 * (y[3] + y[3].T)
+        if not np.all(np.isfinite(u_mat)):
             raise RiccatiBlowupError("comparison operator became non-finite",
                                      (i + 1) * h)
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
             rec_times.append((i + 1) * h)
-            rec_traces.append(float(np.trace(u)))
+            rec_traces.append(float(np.trace(u_mat)))
 
+    pos, vel, _, u = _rk4(rhs, [state.position, state.velocity, frame, u],
+                          n_steps, h, before, after)
     return RiccatiResult(u, np.array(rec_times), np.array(rec_traces),
                          PhaseState(pos, vel))

@@ -12,7 +12,6 @@ module provides randomized nonpositivity scans over coordinate boxes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .profiles import (
     sinh_minus_linear,
     sinh_minus_linear_over_r3,
 )
-from .rng import sample_stream, worker_count
+from .rng import sample_stream
 
 POLAR = "polar"
 CARTESIAN = "cartesian"
@@ -831,8 +830,8 @@ def scan_nonpositive(chart: MetricChart, samples: int, seed: int,
 
     Points are uniform in the region box; planes come from two
     standard-normal tangent vectors orthonormalized in the metric.  Each
-    sample index has its own counter-based stream, so the report is
-    deterministic for a given seed regardless of scheduling.
+    sample index has its own counter-based stream, so the report is a
+    pure function of the seed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -841,27 +840,14 @@ def scan_nonpositive(chart: MetricChart, samples: int, seed: int,
     if len(region.lo) != chart.dim:
         raise ValueError("region dimension does not match chart")
 
-    def run_range(start: int, stop: int):
-        best_max = (-math.inf, None)
-        best_min = (math.inf, None)
-        for i in range(start, stop):
-            k_val, coords = _sample_curvature(chart, region, seed, i)
-            if k_val > best_max[0]:
-                best_max = (k_val, coords)
-            if k_val < best_min[0]:
-                best_min = (k_val, coords)
-        return best_max, best_min
-
-    workers = min(worker_count(), samples)
-    if workers <= 1:
-        best_max, best_min = run_range(0, samples)
-    else:
-        bounds = np.linspace(0, samples, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ab: run_range(*ab),
-                                  zip(bounds[:-1], bounds[1:])))
-        best_max = max((p[0] for p in parts), key=lambda t: t[0])
-        best_min = min((p[1] for p in parts), key=lambda t: t[0])
+    best_max = (-math.inf, None)
+    best_min = (math.inf, None)
+    for i in range(samples):
+        k_val, coords = _sample_curvature(chart, region, seed, i)
+        if k_val > best_max[0]:
+            best_max = (k_val, coords)
+        if k_val < best_min[0]:
+            best_min = (k_val, coords)
     return ScanReport(samples=samples, seed=seed,
                       max_curvature=best_max[0], max_coords=best_max[1],
                       min_curvature=best_min[0], min_coords=best_min[1])

@@ -261,21 +261,6 @@ def sinh_minus_linear_over_r3(r: float) -> float:
     return (math.sinh(r) - r) / (r * r * r)
 
 
-def cosh_defect_over_r2(r: float) -> float:
-    """(cosh(r) - 1 - (sinh(r) - r)/r) / r^2, finite limit 1/3 at r = 0."""
-    if r < 0.75:
-        u = r * r
-        # sum_{m>=1} r^(2m-2) * 2m/(2m+1)!
-        c = (1 / 3, 1 / 30, 1 / 840, 1 / 45360, 1 / 3991680,
-             12 / 6227020800, 14 / 1307674368000, 16 / 355687428096000,
-             18 / 121645100408832000)
-        acc = c[-1]
-        for cm in reversed(c[:-1]):
-            acc = acc * u + cm
-        return acc
-    return (cosh_minus_one(r) - (math.sinh(r) - r) / r) / (r * r)
-
-
 # ---------------------------------------------------------------------------
 
 _VARIANTS = ("flat", "hyperbolic", "interpolated")

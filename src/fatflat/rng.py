@@ -1,13 +1,11 @@
-"""Deterministic random streams and worker-count policy.
+"""Deterministic random streams.
 
 All scans in this package draw from counter-based Philox streams so that a
-result depends only on (seed, sample index), never on scheduling or on how
-samples are partitioned across workers.
+result depends only on (seed, sample index), never on how the samples are
+grouped.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -24,12 +22,3 @@ def sample_stream(seed: int, index: int) -> np.random.Generator:
     key = ((seed & _MASK64) << 64) | (index & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def worker_count() -> int:
-    """Worker cap from FATFLAT_THREADS; defaults to 1 (sequential)."""
-    raw = os.environ.get("FATFLAT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -56,6 +56,12 @@ class TestExitCodes:
         assert run(["verify-profile", "--k", "abc"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_input_returns_two(self, capsys):
+        assert run(["verify-curvature", "--r-max", "300",
+                    "--samples", "200"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestReportSchema:
     def test_verify_profile_report_fields(self, tmp_path, capsys):
@@ -117,15 +123,6 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert first.read_bytes() != second.read_bytes()
         assert load_report(first)["seed"] == 1
-
-    def test_worker_count_does_not_change_output(self, tmp_path,
-                                                 monkeypatch):
-        argv = ["flats-translation", "--samples", "200000"]
-        monkeypatch.setenv("FATFLAT_THREADS", "1")
-        _, serial = run_to_file(tmp_path, "serial.json", argv)
-        monkeypatch.setenv("FATFLAT_THREADS", "3")
-        _, threaded = run_to_file(tmp_path, "threaded.json", argv)
-        assert serial.read_bytes() == threaded.read_bytes()
 
 
 class TestConfigPrecedence:

@@ -243,17 +243,6 @@ class TestUnionVolume:
         assert first.union_volume == second.union_volume
         assert first.body_error == second.body_error
 
-    def test_result_independent_of_worker_count(self, monkeypatch):
-        motion = Isometry.translation_by([0.4, 0.1])
-        monkeypatch.setenv("FATFLAT_THREADS", "1")
-        serial = union_volume(unit_square(), motion, samples=3 * 10 ** 5,
-                              seed=7)
-        monkeypatch.setenv("FATFLAT_THREADS", "4")
-        threaded = union_volume(unit_square(), motion, samples=3 * 10 ** 5,
-                                seed=7)
-        assert serial.body_volume == threaded.body_volume
-        assert serial.union_volume == threaded.union_volume
-
     def test_nonpositive_samples_rejected(self):
         with pytest.raises(ValueError):
             union_volume(unit_square(), Isometry.translation_by([0.1, 0.0]),

@@ -151,6 +151,33 @@ class TestGeodesics:
         assert abs(final.position[1]) <= 1e-6
         assert final.velocity[0] == pytest.approx(-1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("run", ["geodesic", "transport", "riccati"])
+    def test_chart_exit_in_every_integrator(self, ramp19, n, run):
+        # polar n = 1 takes the plain-float geodesic path, n = 2 the array one
+        chart = MetricChart.polar(ramp19, n)
+        start = np.zeros(chart.dim)
+        start[0] = 0.5
+        start[1:chart.block_dim - 1] = math.pi / 2
+        inward = np.zeros(chart.dim)
+        inward[0] = -1.0
+        path = flow.GeodesicPath(chart, 1e-3, np.array([0.0, 1.0]),
+                                 np.array([start, start]),
+                                 np.array([inward, inward]))
+        calls = {
+            "geodesic": lambda: flow.integrate_geodesic(
+                chart, PhaseState(start, inward), 1.0),
+            "transport": lambda: flow.parallel_transport(
+                path, np.eye(chart.dim)),
+            "riccati": lambda: flow.riccati_expansion(path),
+        }
+        with pytest.raises(ChartExitError) as err:
+            calls[run]()
+        assert err.value.time == pytest.approx(0.49, abs=2e-3)
+        assert err.value.state.position[0] == pytest.approx(
+            flow.POLAR_EXIT_RADIUS, abs=2e-3)
+        assert (err.value.partial is not None) == (run == "geodesic")
+
     def test_immediate_exit_raises_at_time_zero(self, polar_19):
         state = PhaseState(np.array([0.005, 0.0, 0.0]),
                            np.array([0.0, 0.0, 1.0]))
@@ -349,6 +376,16 @@ class TestComparisonOperator:
         result = flow.riccati_expansion(path, c0=1.0)
         assert np.all(np.diff(result.times) > 0)
         assert len(result.times) == len(result.traces)
+
+    def test_large_c0_blows_up_at_the_first_node(self, polar_19):
+        # U(0) = 2000 I already exceeds 1/step = 1000
+        state = PhaseState(np.array([10.0, 0.0, 0.0]),
+                           np.array([1.0, 0.0, 0.0]))
+        path = flow.integrate_geodesic(polar_19, state, 1.0,
+                                       record_every=10 ** 9)
+        with pytest.raises(flow.RiccatiBlowupError) as err:
+            flow.riccati_expansion(path, c0=2000.0, step=1e-3)
+        assert err.value.time == 0.0
 
     def test_nonpositive_c0_rejected(self, polar_19):
         state = PhaseState(np.array([10.0, 0.0, 0.0]),
