@@ -11,14 +11,18 @@ RK4 driver over a list of state components.  Each stage evaluates the
 chart's acceleration jet (the profile jet, the axis coefficients or the
 Christoffel symbols) once at its position; the geodesic acceleration and
 the transport rate of every frame vector are quadratic forms built from
-that jet.
+that jet.  The comparison operator's curvature term M is built in closed
+form from one radial jet per stage: the profile's four principal ratios
+times Gram matrices of the frame's adapted components (see
+:func:`fatflat.geometry.curvature_numerator`).
 
 Chart policy: the Cartesian chart is regular across the axis and is the
 right place to integrate whenever an orbit may approach radius zero; the
 diagonal charts are cheaper and better conditioned at large radius.  The
 integrator raises :class:`ChartExitError` when a trajectory leaves the
 region where its chart is trustworthy so the caller can switch charts and
-resume (see :func:`switch_chart` and :func:`preferred_kind`).
+resume (see :func:`switch_chart` and :func:`preferred_kind`), and when its
+state stops being finite.
 """
 
 from __future__ import annotations
@@ -305,26 +309,30 @@ def _frame_rates(form: Callable, jet, pos, vel, w_rows: np.ndarray
 def _exit_guard(chart: MetricChart, h: float,
                 partial: Optional[Callable] = None) -> Callable:
     """guard(i, pos, vel) raises :class:`ChartExitError` at node ``i`` when
-    the orbit must leave ``chart``; ``partial()`` builds the path so far."""
-    if chart.kind == CARTESIAN:
-        return lambda i, pos, vel: None
+    the orbit must leave ``chart`` or its state is no longer finite;
+    ``partial()`` builds the path so far."""
     # diagonal charts also carry polar angles with poles at 0, pi
-    n_angles = 1 if chart.kind == FOUR_D else chart.block_dim - 2
+    n_angles = {CARTESIAN: 0, FOUR_D: 1}.get(chart.kind, chart.block_dim - 2)
 
     def guard(i, pos, vel):
-        why = None
-        if pos[0] < POLAR_EXIT_RADIUS:
+        # "not inside" tests, so that NaN coordinates fail them too
+        if not _finite(pos, vel):
+            why = "non-finite state"
+        elif chart.kind != CARTESIAN and not pos[0] >= POLAR_EXIT_RADIUS:
             why = "radius below the diagonal-chart floor"
+        elif not all(ANGLE_EXIT_MARGIN <= th <= math.pi - ANGLE_EXIT_MARGIN
+                     for th in pos[1:1 + n_angles]):
+            why = "polar angle reached a coordinate pole"
         else:
-            for th in pos[1:1 + n_angles]:
-                if th < ANGLE_EXIT_MARGIN or th > math.pi - ANGLE_EXIT_MARGIN:
-                    why = "polar angle reached a coordinate pole"
-                    break
-        if why is not None:
-            raise ChartExitError(why, i * h, PhaseState(pos, vel),
-                                 partial() if partial else None)
+            return
+        raise ChartExitError(why, i * h, PhaseState(pos, vel),
+                             partial() if partial else None)
 
     return guard
+
+
+def _finite(pos, vel) -> bool:
+    return all(map(math.isfinite, pos)) and all(map(math.isfinite, vel))
 
 
 def _step_count(duration: float, step: float) -> Tuple[int, float]:
@@ -411,8 +419,7 @@ def integrate_geodesic(chart: MetricChart, state: PhaseState, duration: float,
 
     def after(i, y):
         pos, vel = phase(y)
-        if not (all(map(math.isfinite, pos))
-                and all(map(math.isfinite, vel))):
+        if not _finite(pos, vel):
             raise ChartExitError("non-finite state", (i + 1) * h,
                                  PhaseState(positions[-1], velocities[-1]),
                                  path())
@@ -552,9 +559,13 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
     The geodesic is re-integrated from the path's initial sample (defaults:
     the path's own step and duration).  M(t) is the curvature operator
     w -> R(w, v, w, v) restricted to a parallel orthonormal frame of the
-    velocity's normal space.  Raises :class:`RiccatiBlowupError` as soon as
-    an eigenvalue of U exceeds the reciprocal step, after which the
-    fixed-step scheme cannot resolve the solution any further.
+    velocity's normal space, built in closed form at each stage from one
+    radial jet: each principal curvature ratio times the Gram matrix of the
+    frame's shadows on its coordinate 2-plane.  Raises
+    :class:`RiccatiBlowupError` as soon as an eigenvalue of U exceeds the
+    reciprocal step, after which the fixed-step scheme cannot resolve the
+    solution any further, and :class:`ChartExitError` when the orbit leaves
+    its chart or stops being finite.
     """
     chart = path.chart
     state = path.state(0)
@@ -575,26 +586,13 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
     u = c0 * np.eye(m)
 
     def curvature_operator(pos_, vel_, w_rows):
-        r = chart.radius_of(pos_)
-        if all(k == 0.0 for k in profile.curvature_ratios(r)):
+        jet, ratios = profile.jet_ratios(chart.radius_of(pos_))
+        if all(k == 0.0 for k in ratios):
             return np.zeros((m, m))
-        parts_v = adapted_components_raw(chart, pos_, vel_)
-        parts_w = [adapted_components_raw(chart, pos_, wv) for wv in w_rows]
-
-        def q(parts):
-            return curvature_numerator(profile, r, parts, parts_v)
-
-        mat = np.empty((m, m))
-        for i in range(m):
-            mat[i, i] = q(parts_w[i])
-        for i in range(m):
-            ri, si, zi = parts_w[i]
-            for j in range(i + 1, m):
-                rj, sj, zj = parts_w[j]
-                plus = q((ri + rj, si + sj, zi + zj))
-                minus = q((ri - rj, si - sj, zi - zj))
-                mat[i, j] = mat[j, i] = 0.25 * (plus - minus)
-        return mat
+        ar, a_s, az = adapted_components_raw(
+            chart, pos_, np.vstack([vel_, w_rows]), jet[0], jet[3])
+        return curvature_numerator(ratios, (ar[1:], a_s[1:], az[1:]),
+                                   (ar[0], a_s[0], az[0]))
 
     def rhs(y):
         pos_, vel_, w_rows, u_mat = y
@@ -626,5 +624,6 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
 
     pos, vel, _, u = _rk4(rhs, [state.position, state.velocity, frame, u],
                           n_steps, h, before, after)
+    guard(n_steps, pos, vel)
     return RiccatiResult(u, np.array(rec_times), np.array(rec_traces),
                          PhaseState(pos, vel))

@@ -19,6 +19,7 @@ import numpy as np
 from . import dualnum as dn
 from .profiles import (
     WarpingProfile,
+    _ramp_blend,
     cosh_minus_one,
     sinh_minus_linear,
     sinh_minus_linear_over_r3,
@@ -203,30 +204,16 @@ def axis_coefficient_jets(profile: WarpingProfile, r: float):
     second coordinate derivatives; all are smooth even functions of r and
     are evaluated in cancellation-free form.
     """
-    if r < 0.0:
-        raise ValueError("radius must be nonnegative")
-    if profile.variant == "flat":
-        return _FLAT_COEFFS
-    if profile.variant == "hyperbolic":
-        return _axis_coeffs_hyperbolic(r)
     p, p1, p2 = profile.rho_jet(r)
-    if p == 0.0 and p1 == 0.0 and p2 == 0.0:
-        return _FLAT_COEFFS
-    if p == 1.0 and p1 == 0.0 and p2 == 0.0:
-        return _axis_coeffs_hyperbolic(r)
+    if p1 == 0.0 and p2 == 0.0 and p in (0.0, 1.0):
+        return _FLAT_COEFFS if p == 0.0 else _axis_coeffs_hyperbolic(r)
     # ramp region: r >= 1/k, so plain powers of r are harmless while every
     # difference below stays an explicit multiple of the step function
     m = sinh_minus_linear(r)
     c1 = cosh_minus_one(r)
-    sh = m + r
-    ch = 1.0 + c1
-    pm = p * m
-    sigma = r + pm
-    bump = p1 * m + p * c1                      # sigma' - 1
-    sigma_pp = p2 * m + 2.0 * p1 * c1 + p * sh  # sigma''
-    tau = 1.0 + p * c1
-    tau_p = p1 * c1 + p * sh
-    tau_pp = p2 * c1 + 2.0 * p1 * sh + p * ch
+    sigma, _, sigma_pp, tau, tau_p, tau_pp, bump = _ramp_blend(
+        r, p, p1, p2, m + r, 1.0 + c1, m, c1)   # bump = sigma' - 1
+    pm = p * m                                  # sigma - r
     r2 = r * r
     r4 = r2 * r2
     e_val = pm / r                              # sigma/r - 1
@@ -518,14 +505,19 @@ def sectional_curvature(pl: TangentPlane,
     chart = pl.point.chart
     if chart.kind == CARTESIAN and rie is None:
         r = pl.point.radius
-        ratios = chart.profile.curvature_ratios(r)
+        jet, ratios = chart.profile.jet_ratios(r)
         if r < R_MIN:
             # every axis point of the three variants is isotropic
             return ratios[0]
-        return sectional_from_adapted(
-            chart.profile, r,
-            adapted_components(pl.point, nu),
-            adapted_components(pl.point, nv))
+        ar, a_s, az = adapted_components_raw(
+            chart, pl.point.coords, np.array([nu, nv]), jet[0], jet[3])
+        gram = np.outer(ar, ar) + a_s @ a_s.T + np.outer(az, az)
+        denom = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[0, 1]
+        if not denom > _PLANE_TOL:
+            raise DegeneratePlaneError("degenerate plane")
+        num = curvature_numerator(ratios, (ar[:1], a_s[:1], az[:1]),
+                                  (ar[1], a_s[1], az[1]))
+        return float(num[0, 0]) / denom
     if rie is None:
         rie = riemann(pl.point)
     num = float(np.einsum("ijkl,i,j,k,l", rie, nu, nv, nu, nv))
@@ -574,9 +566,8 @@ def curvature_components_closed_form(profile: WarpingProfile, r: float,
         raise ValueError("r must be positive")
     if not 0.0 < theta < math.pi:
         raise ValueError("theta must lie in (0, pi)")
-    sg, sgp, sgpp, tu, tup, tupp = profile.sigma_tau(r)
+    (sg, sgp, sgpp, tu, tup, tupp, _), (_, k2, _, _) = profile.jet_ratios(r)
     st2 = math.sin(theta) ** 2
-    _, k2, _, _ = profile.curvature_ratios(r)
     theta_r = -sg * sgpp
     z_r = -tu * tupp
     # (1 - sigma'^2) sigma^2 via the cancellation-free ratio k2
@@ -602,76 +593,56 @@ def max_plane_curvature(profile: WarpingProfile, r: float) -> float:
 
 
 def adapted_components_raw(chart: MetricChart, coords: np.ndarray,
-                           vec: np.ndarray):
-    """adapted_components without ChartPoint plumbing (hot-loop variant)."""
-    r = chart.radius_of(coords)
-    sg, _, _, tu, _, _ = chart.profile.sigma_tau(r)
-    vec = np.asarray(vec, dtype=float)
+                           vecs: np.ndarray, sigma: float, tau: float):
+    """Radial / sphere / axis parts (a_r, a_s, a_z) of the rows of ``vecs``
+    in an orthonormal frame adapted to the warped splitting, given sigma and
+    tau at the point; only inner products of sphere parts (rows of a_s) are
+    frame-independent."""
+    vecs = np.asarray(vecs, dtype=float)
     if chart.kind == CARTESIAN:
         d = chart.block_dim
         x = coords[:d]
+        r = chart.radius_of(coords)
         if r <= 0.0:
             raise ChartDomainError("adapted frame undefined on the axis")
         xhat = x / r
-        vr = float(vec[:d] @ xhat)
-        perp = vec[:d] - vr * xhat
-        return vr, (sg / r) * perp, float(vec[d]) * tu
+        vr = vecs[:, :d] @ xhat
+        perp = vecs[:, :d] - np.outer(vr, xhat)
+        return vr, (sigma / r) * perp, vecs[:, d] * tau
     if chart.kind == FOUR_D:
         st = math.sin(coords[1])
-        a_s = np.array([vec[1] * sg, vec[2] * sg * st])
-        return float(vec[0]), a_s, float(vec[3]) * tu
+        a_s = np.stack([vecs[:, 1] * sigma, vecs[:, 2] * sigma * st], axis=1)
+        return vecs[:, 0], a_s, vecs[:, 3] * tau
     d = chart.block_dim
-    scale = sg
-    a_s = np.zeros(d - 1)
+    scale = sigma
+    a_s = np.empty((len(vecs), d - 1))
     for i in range(d - 1):
-        a_s[i] = vec[1 + i] * scale
+        a_s[:, i] = vecs[:, 1 + i] * scale
         if i < d - 2:
             scale *= math.sin(coords[1 + i])
-    return float(vec[0]), a_s, float(vec[d]) * tu
+    return vecs[:, 0], a_s, vecs[:, d] * tau
 
 
-def adapted_components(point: ChartPoint, vec: np.ndarray):
-    """Split a tangent vector into radial / sphere / axis parts measured in
-    an orthonormal frame adapted to the warped splitting.
+def curvature_numerator(ratios, w_parts, v_parts) -> np.ndarray:
+    """M[i, j] = R(w_i, v, w_j, v) from the adapted parts of a stack of
+    vectors w_i and of one vector v; R(u, v, u, v) is the 1 x 1 case.
 
-    Returns (a_r, a_s, a_z) with a_s a Euclidean vector; only |a_s| and
-    inner products of sphere parts are frame-independent quantities.
+    Each principal ratio multiplies the Gram matrix of the planes' shadows
+    on its coordinate 2-plane: rows w_r[i] v_s - v_r w_s[i] (k1), sphere
+    areas |v_s|^2 W_s W_s^T - a a^T with a = W_s v_s (k2), entries
+    w_r[i] v_z - v_r w_z[i] (k3) and rows w_z[i] v_s - v_z w_s[i] (k4).
     """
-    return adapted_components_raw(point.chart, point.coords, vec)
-
-
-def curvature_numerator(profile: WarpingProfile, r: float,
-                        u_parts, v_parts) -> float:
-    """R(u, v, u, v) from adapted components via the principal-ratio
-    expansion (the factor multiplying each ratio is the squared area of the
-    plane's shadow on the corresponding coordinate 2-plane)."""
-    k1, k2, k3, k4 = profile.curvature_ratios(r)
-    ur, us, uz = u_parts
+    k1, k2, k3, k4 = ratios
+    wr, ws, wz = w_parts
     vr, vs, vz = v_parts
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    w1 = float(np.sum((ur * vs - vr * us) ** 2))
-    w2 = float(np.sum(us * us) * np.sum(vs * vs) - np.sum(us * vs) ** 2)
-    w3 = (ur * vz - vr * uz) ** 2
-    w4 = float(np.sum((uz * vs - vz * us) ** 2))
-    return k1 * w1 + k2 * w2 + k3 * w3 + k4 * w4
-
-
-def sectional_from_adapted(profile: WarpingProfile, r: float,
-                           u_parts, v_parts) -> float:
-    """Sectional curvature from adapted components via the principal-ratio
-    expansion; equals the chart computation for the same plane."""
-    ur, us, uz = u_parts
-    vr, vs, vz = v_parts
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    uu = ur * ur + float(us @ us) + uz * uz
-    vv = vr * vr + float(vs @ vs) + vz * vz
-    uv = ur * vr + float(us @ vs) + uz * vz
-    denom = uu * vv - uv * uv
-    if not denom > _PLANE_TOL:
-        raise DegeneratePlaneError("degenerate plane")
-    return curvature_numerator(profile, r, u_parts, v_parts) / denom
+    p1 = np.outer(wr, vs) - vr * ws
+    a = ws @ vs
+    p3 = wr * vz - vr * wz
+    p4 = np.outer(wz, vs) - vz * ws
+    return (k1 * (p1 @ p1.T)
+            + k2 * (float(vs @ vs) * (ws @ ws.T) - np.outer(a, a))
+            + k3 * np.outer(p3, p3)
+            + k4 * (p4 @ p4.T))
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +802,8 @@ def scan_nonpositive(chart: MetricChart, samples: int, seed: int,
     Points are uniform in the region box; planes come from two
     standard-normal tangent vectors orthonormalized in the metric.  Each
     sample index has its own counter-based stream, so the report is a
-    pure function of the seed.
+    pure function of the seed.  The first non-finite sample ends the scan
+    with both extremes NaN at its coordinates.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -844,6 +816,12 @@ def scan_nonpositive(chart: MetricChart, samples: int, seed: int,
     best_min = (math.inf, None)
     for i in range(samples):
         k_val, coords = _sample_curvature(chart, region, seed, i)
+        if not math.isfinite(k_val):
+            # a NaN or infinite sample makes both extremes NaN at its
+            # coordinates, so that no "<= tol" check can pass the scan
+            return ScanReport(samples=samples, seed=seed,
+                              max_curvature=math.nan, max_coords=coords,
+                              min_curvature=math.nan, min_coords=coords)
         if k_val > best_max[0]:
             best_max = (k_val, coords)
         if k_val < best_min[0]:

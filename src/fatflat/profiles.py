@@ -225,18 +225,26 @@ def rho_many(spec: BumpSpec, rs: np.ndarray):
 # ---------------------------------------------------------------------------
 # stable small-r combinations of sinh/cosh used by profile and metric code
 
+# sum_{m>=1} r^(2m+1)/(2m+1)! = r^3 * sum_m _SERIES[m-1] * (r^2)^(m-1)
+_SERIES = (1 / 6, 1 / 120, 1 / 5040, 1 / 362880, 1 / 39916800,
+           1 / 6227020800, 1 / 1307674368000, 1 / 355687428096000,
+           1 / 121645100408832000)
+
+
+def _series_over_r3(u):
+    """(sinh(r) - r)/r^3 as a Horner sum in u = r^2, accurate for r < 0.75;
+    plain floats and arrays alike."""
+    acc = _SERIES[-1]
+    for c in reversed(_SERIES[:-1]):
+        acc = acc * u + c
+    return acc
+
+
 def sinh_minus_linear(r: float) -> float:
     """sinh(r) - r without cancellation at small r."""
     if r < 0.75:
         u = r * r
-        # sum_{m>=1} r^(2m+1)/(2m+1)!
-        c = (1 / 6, 1 / 120, 1 / 5040, 1 / 362880, 1 / 39916800,
-             1 / 6227020800, 1 / 1307674368000, 1 / 355687428096000,
-             1 / 121645100408832000)
-        acc = c[-1]
-        for cm in reversed(c[:-1]):
-            acc = acc * u + cm
-        return acc * u * r
+        return _series_over_r3(u) * u * r
     return math.sinh(r) - r
 
 
@@ -250,15 +258,48 @@ def sinh_minus_linear_over_r3(r: float) -> float:
     if r == 0.0:
         return 1.0 / 6.0
     if r < 0.75:
-        u = r * r
-        c = (1 / 6, 1 / 120, 1 / 5040, 1 / 362880, 1 / 39916800,
-             1 / 6227020800, 1 / 1307674368000, 1 / 355687428096000,
-             1 / 121645100408832000)
-        acc = c[-1]
-        for cm in reversed(c[:-1]):
-            acc = acc * u + cm
-        return acc
+        return _series_over_r3(r * r)
     return (math.sinh(r) - r) / (r * r * r)
+
+
+def _ramp_blend(r, p, p1, p2, sh, ch, sml, cm1):
+    """The radial jet (sigma, sigma', sigma'', tau, tau', tau'', sigma' - 1)
+    of sigma = r + rho (sinh r - r), tau = 1 + rho (cosh r - 1).
+
+    Takes the step jet (p, p1, p2) = (rho, rho', rho''), sh = sinh r,
+    ch = cosh r, sml = sinh r - r and cm1 = cosh r - 1 as the caller
+    computed them, for plain floats and arrays alike; sigma' - 1 carries
+    no cancellation.
+    """
+    return (r + p * sml,
+            1.0 + p1 * sml + p * cm1,
+            p2 * sml + 2.0 * p1 * cm1 + p * sh,
+            1.0 + p * cm1,
+            p1 * cm1 + p * sh,
+            p2 * cm1 + 2.0 * p1 * sh + p * ch,
+            p1 * sml + p * cm1)
+
+
+def _ramp_ratios(jet):
+    """Principal curvature ratios from a ramp jet (see curvature_ratios)."""
+    sigma, _, sigma_pp, tau, tau_p, tau_pp, sigma_p_m1 = jet
+    # sigma' rebuilt from sigma' - 1: the jet's own sigma' is summed in
+    # another order and may differ in the last bit
+    sigma_p = 1.0 + sigma_p_m1
+    return (-sigma_pp / sigma,
+            -sigma_p_m1 * (sigma_p + 1.0) / (sigma * sigma),
+            -tau_pp / tau,
+            -sigma_p * tau_p / (sigma * tau))
+
+
+# exact principal ratios of the flat (rho = 0) and hyperbolic (rho = 1) pieces
+_PIECE_RATIOS = {0.0: (0.0, 0.0, 0.0, 0.0), 1.0: (-1.0, -1.0, -1.0, -1.0)}
+
+
+def _piece_ratios(p, p1, _):
+    """The exact ratios when the step jet puts r on the flat or hyperbolic
+    piece, else None."""
+    return _PIECE_RATIOS.get(p) if p1 == 0.0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -310,36 +351,39 @@ class WarpingProfile:
         return 1.0 / self.matching_radius
 
     def rho_jet(self, r: float) -> tuple[float, float, float]:
+        """(rho, rho', rho'') at radius r >= 0."""
+        if r < 0.0:
+            raise ValueError(f"radius must be nonnegative, got {r}")
         if self.variant == "flat":
             return 0.0, 0.0, 0.0
         if self.variant == "hyperbolic":
             return 1.0, 0.0, 0.0
         return rho(self.bump, r)
 
+    @staticmethod
+    def _jet(r: float, p: float, p1: float, p2: float):
+        if p1 == 0.0 and p == 0.0:
+            return r, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0
+        sh, ch = math.sinh(r), math.cosh(r)
+        if p1 == 0.0 and p == 1.0:
+            return sh, ch, sh, ch, sh, ch, cosh_minus_one(r)
+        return _ramp_blend(r, p, p1, p2, sh, ch, sinh_minus_linear(r),
+                           cosh_minus_one(r))
+
+    def jet(self, r: float):
+        """(sigma, sigma', sigma'', tau, tau', tau'', sigma' - 1) at radius
+        r >= 0, from one rho evaluation."""
+        return self._jet(r, *self.rho_jet(r))
+
+    def jet_ratios(self, r: float):
+        """(jet(r), curvature_ratios(r)) from one rho evaluation."""
+        step = self.rho_jet(r)
+        jet = self._jet(r, *step)
+        return jet, _piece_ratios(*step) or _ramp_ratios(jet)
+
     def sigma_tau(self, r: float):
         """(sigma, sigma', sigma'', tau, tau', tau'') at radius r >= 0."""
-        if r < 0.0:
-            raise ValueError(f"radius must be nonnegative, got {r}")
-        if self.variant == "flat":
-            return r, 1.0, 0.0, 1.0, 0.0, 0.0
-        if self.variant == "hyperbolic":
-            sh, ch = math.sinh(r), math.cosh(r)
-            return sh, ch, sh, ch, sh, ch
-        p, p1, p2 = rho(self.bump, r)
-        if p == 0.0 and p1 == 0.0:
-            return r, 1.0, 0.0, 1.0, 0.0, 0.0
-        sh, ch = math.sinh(r), math.cosh(r)
-        if p == 1.0 and p1 == 0.0:
-            return sh, ch, sh, ch, sh, ch
-        sml = sinh_minus_linear(r)
-        cm1 = cosh_minus_one(r)
-        sigma = r + p * sml
-        sigma_p = 1.0 + p1 * sml + p * cm1
-        sigma_pp = p2 * sml + 2.0 * p1 * cm1 + p * sh
-        tau = 1.0 + p * cm1
-        tau_p = p1 * cm1 + p * sh
-        tau_pp = p2 * cm1 + 2.0 * p1 * sh + p * ch
-        return sigma, sigma_p, sigma_pp, tau, tau_p, tau_pp
+        return self._jet(r, *self.rho_jet(r))[:6]
 
     def sigma_tau_many(self, rs: np.ndarray):
         rs = np.asarray(rs, dtype=float)
@@ -355,17 +399,10 @@ class WarpingProfile:
         p, p1, p2 = rho_many(self.bump, rs)
         sml = sh - rs
         small = rs < 0.75
-        if np.any(small):
-            sml[small] = np.array([sinh_minus_linear(float(r))
-                                   for r in rs[small]])
+        u = rs[small] * rs[small]
+        sml[small] = _series_over_r3(u) * u * rs[small]
         cm1 = 2.0 * np.sinh(0.5 * rs) ** 2
-        sigma = rs + p * sml
-        sigma_p = 1.0 + p1 * sml + p * cm1
-        sigma_pp = p2 * sml + 2.0 * p1 * cm1 + p * sh
-        tau = 1.0 + p * cm1
-        tau_p = p1 * cm1 + p * sh
-        tau_pp = p2 * cm1 + 2.0 * p1 * sh + p * ch
-        return sigma, sigma_p, sigma_pp, tau, tau_p, tau_pp
+        return _ramp_blend(rs, p, p1, p2, sh, ch, sml, cm1)[:6]
 
     def curvature_ratios(self, r: float) -> tuple[float, float, float, float]:
         """Principal sectional curvatures at radius r > 0.
@@ -374,34 +411,9 @@ class WarpingProfile:
         (-sigma''/sigma, (1 - sigma'^2)/sigma^2, -tau''/tau,
         -sigma' tau'/(sigma tau)).  All four are <= 0 for a convex profile.
         """
-        if self.variant == "flat":
-            return 0.0, 0.0, 0.0, 0.0
-        if self.variant == "hyperbolic":
-            return -1.0, -1.0, -1.0, -1.0
-        p, p1, p2 = rho(self.bump, r)
-        if p == 0.0 and p1 == 0.0 and p2 == 0.0:
-            return 0.0, 0.0, 0.0, 0.0
-        if p == 1.0 and p1 == 0.0 and p2 == 0.0:
-            return -1.0, -1.0, -1.0, -1.0
-        sh, ch = math.sinh(r), math.cosh(r)
-        sml = sinh_minus_linear(r)
-        cm1 = cosh_minus_one(r)
-        sigma = r + p * sml
-        sigma_p_m1 = p1 * sml + p * cm1     # sigma' - 1, no cancellation
-        sigma_p = 1.0 + sigma_p_m1
-        sigma_pp = p2 * sml + 2.0 * p1 * cm1 + p * sh
-        tau = 1.0 + p * cm1
-        tau_p = p1 * cm1 + p * sh
-        tau_pp = p2 * cm1 + 2.0 * p1 * sh + p * ch
-        return (-sigma_pp / sigma,
-                -sigma_p_m1 * (sigma_p + 1.0) / (sigma * sigma),
-                -tau_pp / tau,
-                -sigma_p * tau_p / (sigma * tau))
-
-
-def sigma_tau(profile: WarpingProfile, r: float):
-    """Module-level alias for WarpingProfile.sigma_tau."""
-    return profile.sigma_tau(r)
+        step = self.rho_jet(r)
+        # no jet on the pure pieces, whose sinh overflows past r = 710
+        return _piece_ratios(*step) or _ramp_ratios(self._jet(r, *step))
 
 
 # ---------------------------------------------------------------------------

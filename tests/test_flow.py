@@ -178,6 +178,23 @@ class TestGeodesics:
             flow.POLAR_EXIT_RADIUS, abs=2e-3)
         assert (err.value.partial is not None) == (run == "geodesic")
 
+    @pytest.mark.parametrize("run", ["transport", "riccati"])
+    def test_non_finite_state_raises(self, flat_profile, run):
+        # velocities of 1e200 overflow the first RK4 stage; both
+        # integrators must stop there instead of returning NaN states
+        chart = MetricChart.polar(flat_profile, 1)
+        start = np.full(3, 1.2)
+        fast = np.full(3, 1e200)
+        path = flow.GeodesicPath(chart, 1e-3, np.array([0.0, 1.0]),
+                                 np.array([start, start]),
+                                 np.array([fast, fast]))
+        calls = {
+            "transport": lambda: flow.parallel_transport(path, np.eye(3)),
+            "riccati": lambda: flow.riccati_expansion(path),
+        }
+        with pytest.raises(ChartExitError, match="non-finite state"):
+            calls[run]()
+
     def test_immediate_exit_raises_at_time_zero(self, polar_19):
         state = PhaseState(np.array([0.005, 0.0, 0.0]),
                            np.array([0.0, 0.0, 1.0]))

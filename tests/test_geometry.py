@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatflat import geometry
 from fatflat.geometry import (ChartDomainError, DegeneratePlaneError,
@@ -282,6 +284,99 @@ class TestClosedFormComponents:
 
 
 # ---------------------------------------------------------------------------
+# curvature operator M[i, j] = R(w_i, v, w_j, v)
+# ---------------------------------------------------------------------------
+
+def polarized_operator(ratios, w_parts, v_parts):
+    """M by polarization of the scalar shadow-area numerator R(w, v, w, v):
+    the route the closed form in curvature_numerator replaced."""
+    k1, k2, k3, k4 = ratios
+    vr, vs, vz = v_parts
+
+    def q(ur, us, uz):
+        return (k1 * np.sum((ur * vs - vr * us) ** 2)
+                + k2 * (np.sum(us * us) * np.sum(vs * vs)
+                        - np.sum(us * vs) ** 2)
+                + k3 * (ur * vz - vr * uz) ** 2
+                + k4 * np.sum((uz * vs - vz * us) ** 2))
+
+    wr, ws, wz = w_parts
+    m = len(wr)
+    out = np.empty((m, m))
+    for i in range(m):
+        for j in range(m):
+            out[i, j] = 0.25 * (q(wr[i] + wr[j], ws[i] + ws[j], wz[i] + wz[j])
+                                - q(wr[i] - wr[j], ws[i] - ws[j],
+                                    wz[i] - wz[j]))
+    return out
+
+
+def operator_point(profile, kind, r, rng):
+    """A chart of ``kind`` and coordinates at radius r, angles drawn away
+    from the coordinate poles."""
+    z = rng.uniform(-1.0, 1.0)
+    if kind == "cartesian":
+        phi = rng.uniform(0.0, 2 * math.pi)
+        return (MetricChart.cartesian(profile, 1),
+                np.array([r * math.cos(phi), r * math.sin(phi), z]))
+    if kind == "four_d":
+        return (MetricChart.four_d_model(profile),
+                np.array([r, rng.uniform(0.1, math.pi - 0.1),
+                          rng.uniform(0.0, 2 * math.pi), z]))
+    n = 1 if kind == "polar1" else 2
+    chart = MetricChart.polar(profile, n)
+    inner = rng.uniform(0.1, math.pi - 0.1, chart.block_dim - 2)
+    return chart, np.array([r, *inner, rng.uniform(0.0, 2 * math.pi), z])
+
+
+def closed_form_operator(chart, coords, v, w_rows):
+    jet, ratios = chart.profile.jet_ratios(chart.radius_of(coords))
+    ar, a_s, az = geometry.adapted_components_raw(
+        chart, coords, np.vstack([v, w_rows]), jet[0], jet[3])
+    w_parts = (ar[1:], a_s[1:], az[1:])
+    v_parts = (ar[0], a_s[0], az[0])
+    return (geometry.curvature_numerator(ratios, w_parts, v_parts),
+            polarized_operator(ratios, w_parts, v_parts))
+
+
+OPERATOR_CHARTS = ("polar1", "polar2", "four_d", "cartesian")
+
+
+class TestCurvatureOperator:
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(OPERATOR_CHARTS),
+           # flat tube (r <= 1/19), ramp, hyperbolic piece (r >= 38.05)
+           r=st.one_of(st.floats(0.01, 0.05), st.floats(0.06, 38.0),
+                       st.floats(38.1, 60.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_closed_form_matches_polarization(self, ramp19, kind, r, seed):
+        rng = np.random.default_rng(seed)
+        chart, coords = operator_point(ramp19, kind, r, rng)
+        v = rng.standard_normal(chart.dim)
+        w_rows = rng.standard_normal((chart.dim - 1, chart.dim))
+        closed, polarized = closed_form_operator(chart, coords, v, w_rows)
+        assert closed.shape == (chart.dim - 1, chart.dim - 1)
+        scale = max(1.0, float(np.max(np.abs(closed))))
+        assert np.max(np.abs(closed - polarized)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", OPERATOR_CHARTS)
+    def test_diagonal_matches_tensor_contraction(self, ramp19, kind):
+        # an independent route: R(w, v, w, v) contracted from the Riemann
+        # tensor of the chart's closed-form metric jets
+        rng = np.random.default_rng(11)
+        for r in (0.5, 3.0, 12.0):
+            chart, coords = operator_point(ramp19, kind, r, rng)
+            v = rng.standard_normal(chart.dim)
+            w_rows = rng.standard_normal((chart.dim - 1, chart.dim))
+            closed, _ = closed_form_operator(chart, coords, v, w_rows)
+            rie = geometry.riemann(chart.point(coords))
+            tensor = np.einsum("ijkl,ai,j,bk,l->ab", rie, w_rows, v, w_rows,
+                               v)
+            scale = max(1.0, float(np.max(np.abs(tensor))))
+            assert np.max(np.abs(closed - tensor)) <= 1e-8 * scale
+
+
+# ---------------------------------------------------------------------------
 # sectional curvature
 # ---------------------------------------------------------------------------
 
@@ -416,6 +511,20 @@ class TestScans:
         assert first.max_coords == second.max_coords
         assert first.min_curvature == second.min_curvature
         assert first.min_coords == second.min_coords
+
+    def test_non_finite_samples_fail_the_scan(self, hyperbolic_profile):
+        # sigma^4 ~ e^(4r) overflows the four_d tensor route here and every
+        # sample is NaN: the extremes must be NaN at a sample's coordinates
+        chart = MetricChart.four_d_model(hyperbolic_profile)
+        region = geometry.Box((249.0, 0.05, 0.0, -2.0),
+                              (250.0, math.pi - 0.05, 2 * math.pi, 2.0))
+        report = geometry.scan_nonpositive(chart, 20, seed=0, region=region)
+        assert math.isnan(report.max_curvature)
+        assert math.isnan(report.min_curvature)
+        assert report.max_coords is not None
+        assert report.max_coords == report.min_coords
+        assert 249.0 <= report.max_coords[0] <= 250.0
+        assert not report.max_curvature <= 0.0
 
     def test_scan_respects_region(self, four_d_19):
         region = geometry.Box((5.0, 0.4, 0.0, -1.0), (6.0, 0.5, 6.2, 1.0))

@@ -283,13 +283,30 @@ class TestWarpingFunctions:
                 scale = max(1.0, abs(j[der_idx]))
                 assert abs(j[der_idx] - fd) <= 1e-5 * scale
 
+    def test_array_jet_matches_scalar_jet(self, ramp19):
+        # radii through the series branch (r < 0.75), the flat tube
+        # (r <= 1/19), the ramp and the hyperbolic piece (r >= 38.05);
+        # np.sinh and math.sinh may differ by an ulp, so the two routes
+        # agree to rounding rather than bit for bit
+        rs = np.concatenate([np.linspace(0.0, 0.8, 401),
+                             np.linspace(0.8, 60.0, 2001)])
+        many = np.array(ramp19.sigma_tau_many(rs))
+        one = np.array([ramp19.sigma_tau(float(r)) for r in rs]).T
+        assert np.all(np.abs(many - one) <= 4e-15 * np.abs(one))
+
+    def test_jet_views_agree(self, ramp19):
+        for r in (0.0, 0.03, 0.5, 2.0, 19.0, 45.0):
+            jet, ratios = ramp19.jet_ratios(r)
+            assert jet == ramp19.jet(r)
+            assert jet[:6] == ramp19.sigma_tau(r)
+            assert ratios == ramp19.curvature_ratios(r)
+            if r >= 2.0:
+                assert jet[6] == pytest.approx(jet[1] - 1.0, rel=1e-12)
+
     def test_negative_radius_rejected(self, ramp19, hyperbolic_profile):
         for prof in (ramp19, hyperbolic_profile):
             with pytest.raises(ValueError):
                 prof.sigma_tau(-0.1)
-
-    def test_wrapper_matches_method(self, ramp19):
-        assert profiles.sigma_tau(ramp19, 3.7) == ramp19.sigma_tau(3.7)
 
 
 # ---------------------------------------------------------------------------
