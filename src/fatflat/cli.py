@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import metadata
 from typing import Callable, Mapping, Sequence
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import flow
 from .flow import ChartExitError, PhaseState
-from .geometry import CARTESIAN, POLAR, MetricChart, max_plane_curvature
+from .geometry import CARTESIAN, MetricChart, max_plane_curvature
 from .profiles import WarpingProfile
 
 __all__ = [

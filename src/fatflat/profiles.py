@@ -46,12 +46,17 @@ def bump_f(spec: BumpSpec, x: float) -> float:
     return math.exp(-k * k / u)
 
 
-def bump_f_prime(spec: BumpSpec, x: float) -> float:
-    k = spec.k
+def _bump_jet(k: float, x: float) -> tuple[float, float]:
+    """(bump value, bump derivative) at x from one exp."""
     u = k * k - x * x
     if u <= 0.0:
-        return 0.0
-    return math.exp(-k * k / u) * (-2.0 * k * k * x / (u * u))
+        return 0.0, 0.0
+    f = math.exp(-k * k / u)
+    return f, f * (-2.0 * k * k * x / (u * u))
+
+
+def bump_f_prime(spec: BumpSpec, x: float) -> float:
+    return _bump_jet(spec.k, x)[1]
 
 
 def bump_f_many(spec: BumpSpec, xs: np.ndarray) -> np.ndarray:
@@ -140,14 +145,19 @@ def bump_integral_F(spec: BumpSpec, x: float) -> float:
 # Scans and flow integration evaluate F at millions of points; adaptive
 # quadrature per call is far too slow there.  A cumulative table of
 # 12-node Gauss panels gives machine-accurate values in O(1) per query and
-# is cross-checked against bump_integral_F in the tests.
+# is cross-checked against bump_integral_F in the tests.  The scalar path
+# (_F_fast, rho) reads Python-list copies of the table and Python-float
+# nodes, so that no numpy scalar reaches the radial jet; the array path
+# (_F_fast_many, rho_many) reads the arrays.
 
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
+_GL_PAIRS = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
 _N_PANELS = 4096
 
 
 @lru_cache(maxsize=8)
 def _bump_table(k: float):
+    """(edges, cum, edges as a list, cum as a list) of the panel table."""
     edges = np.linspace(-k, k, _N_PANELS + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
@@ -156,31 +166,31 @@ def _bump_table(k: float):
     vals = bump_f_many(spec, pts.ravel()).reshape(pts.shape)
     panel = half * vals @ _GL_WEIGHTS
     cum = np.concatenate([[0.0], np.cumsum(panel)])
-    return edges, cum
+    return edges, cum, edges.tolist(), cum.tolist()
 
 
 def _F_fast(k: float, x: float) -> float:
     if x <= -k:
         return 0.0
-    edges, cum = _bump_table(k)
+    edges, cum = _bump_table(k)[2:]
     if x >= k:
-        return float(cum[-1])
+        return cum[-1]
     i = min(bisect_right(edges, x) - 1, _N_PANELS - 1)
     a = edges[i]
     halfw = 0.5 * (x - a)
     midp = a + halfw
     kk = k * k
     acc = 0.0
-    for node, w in zip(_GL_NODES, _GL_WEIGHTS):
+    for node, w in _GL_PAIRS:
         t = midp + halfw * node
         u = kk - t * t
         if u > 0.0:
             acc += w * math.exp(-kk / u)
-    return float(cum[i]) + halfw * acc
+    return cum[i] + halfw * acc
 
 
 def _F_fast_many(k: float, xs: np.ndarray) -> np.ndarray:
-    edges, cum = _bump_table(k)
+    edges, cum = _bump_table(k)[:2]
     xs = np.asarray(xs, dtype=float)
     xc = np.clip(xs, -k, k)
     idx = np.clip(np.searchsorted(edges, xc, side="right") - 1, 0,
@@ -203,12 +213,11 @@ def rho(spec: BumpSpec, r: float) -> tuple[float, float, float]:
     y = r - shift
     if y <= -k:
         return 0.0, 0.0, 0.0
-    total = _bump_table(k)[1][-1]
     if y >= k:
         return 1.0, 0.0, 0.0
-    return (_F_fast(k, y) / total,
-            bump_f(spec, y) / total,
-            bump_f_prime(spec, y) / total)
+    total = _bump_table(k)[3][-1]
+    f, f1 = _bump_jet(k, y)
+    return _F_fast(k, y) / total, f / total, f1 / total
 
 
 def rho_many(spec: BumpSpec, rs: np.ndarray):
@@ -372,17 +381,21 @@ class WarpingProfile:
 
     def jet(self, r: float):
         """(sigma, sigma', sigma'', tau, tau', tau'', sigma' - 1) at radius
-        r >= 0, from one rho evaluation."""
+        r >= 0, from one rho evaluation; like every scalar jet here, Python
+        floats on every piece and for any real r."""
+        r = float(r)
         return self._jet(r, *self.rho_jet(r))
 
     def jet_ratios(self, r: float):
         """(jet(r), curvature_ratios(r)) from one rho evaluation."""
+        r = float(r)
         step = self.rho_jet(r)
         jet = self._jet(r, *step)
         return jet, _piece_ratios(*step) or _ramp_ratios(jet)
 
     def sigma_tau(self, r: float):
         """(sigma, sigma', sigma'', tau, tau', tau'') at radius r >= 0."""
+        r = float(r)
         return self._jet(r, *self.rho_jet(r))[:6]
 
     def sigma_tau_many(self, rs: np.ndarray):
@@ -411,6 +424,7 @@ class WarpingProfile:
         (-sigma''/sigma, (1 - sigma'^2)/sigma^2, -tau''/tau,
         -sigma' tau'/(sigma tau)).  All four are <= 0 for a convex profile.
         """
+        r = float(r)
         step = self.rho_jet(r)
         # no jet on the pure pieces, whose sinh overflows past r = 710
         return _piece_ratios(*step) or _ramp_ratios(self._jet(r, *step))

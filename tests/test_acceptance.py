@@ -10,14 +10,13 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from fatflat import cylinder, flow, geometry
 from fatflat.cli import run
 from fatflat.cylinder import RotationBlock, TwistedCylinder
 from fatflat.flow import PhaseState
 from fatflat.geometry import MetricChart
-from fatflat.profiles import WarpingProfile, verify_profile
+from fatflat.profiles import verify_profile
 from fatflat import arith
 from fatflat import flats
 

@@ -1,16 +1,11 @@
 """Tests for exact finite-field constructions and their certificates."""
 
-import math
-
 import numpy as np
 import pytest
 
-from fatflat import arith
 from fatflat.arith import (
-    ANISOTROPIC,
     EVEN_MINUS,
     EVEN_PLUS,
-    HYPERBOLIC_PLANE,
     ODD_DIM,
     FqElement,
     FqMatrix,

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fatflat import cylinder, flow, geometry
+from fatflat import cylinder, geometry
 from fatflat.cylinder import (
-    ClosingReport,
     RotationBlock,
     TwistedCylinder,
     apply_deck,

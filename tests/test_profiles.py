@@ -13,7 +13,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize_scalar
 
-from fatflat import profiles
+from fatflat import geometry, profiles
 from fatflat.profiles import BumpSpec, WarpingProfile
 
 from conftest import assert_close
@@ -161,6 +161,27 @@ class TestCumulativeMass:
             adaptive = profiles.bump_integral_F(spec, x)
             assert table == pytest.approx(adaptive, abs=5e-12)
 
+    def test_fast_table_frozen_bit_for_bit(self):
+        # float.hex() of _F_fast(19.0, x), frozen: the scalar table path
+        # must reproduce every bit, at an exact panel edge and at the float
+        # just above it too
+        edge = -9.72265625  # edge 1000 of the 4096-panel table
+        frozen = {
+            -18.0: "0x1.569ebe8ce8d47p-18",
+            -7.3: "0x1.abad510984667p+0",
+            0.0: "0x1.0df2bfdf296cfp+2",
+            4.1: "0x1.6cf5d6f1ac7d4p+2",
+            12.9: "0x1.0408eb8dc883bp+3",
+            18.999: "0x1.0df2bfdf296dcp+3",
+            edge: "0x1.f562219e54e0cp-1",
+            math.nextafter(edge, math.inf): "0x1.f562219e54e10p-1",
+            19.0: "0x1.0df2bfdf296dcp+3",
+            -19.0: "0x0.0p+0",
+        }
+        assert profiles._bump_table(19.0)[0][1000] == edge
+        for x, value in frozen.items():
+            assert profiles._F_fast(19.0, x).hex() == value, x
+
     def test_unreachable_tolerance_raises(self):
         spec = BumpSpec(3.0, quadrature_tol=1e-30)
         with pytest.raises(profiles.QuadratureError):
@@ -302,6 +323,19 @@ class TestWarpingFunctions:
             assert ratios == ramp19.curvature_ratios(r)
             if r >= 2.0:
                 assert jet[6] == pytest.approx(jet[1] - 1.0, rel=1e-12)
+
+    def test_scalar_jets_are_python_floats(self, ramp19):
+        # flat tube, ramp and hyperbolic piece; a numpy-scalar radius too
+        for r in (0.01, 20.0, 45.0):
+            jet, ratios = ramp19.jet_ratios(r)
+            values = (*ramp19.rho_jet(r), *ramp19.jet(r), *jet, *ratios,
+                      *ramp19.sigma_tau(r),
+                      *geometry.axis_coefficients(ramp19, r))
+            assert all(type(v) is float for v in values), r
+        r = np.float64(20.0)
+        jet, ratios = ramp19.jet_ratios(r)
+        values = (*ramp19.sigma_tau(r), *jet, *ratios)
+        assert all(type(v) is float for v in values)
 
     def test_negative_radius_rejected(self, ramp19, hyperbolic_profile):
         for prof in (ramp19, hyperbolic_profile):
