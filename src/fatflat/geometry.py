@@ -488,40 +488,111 @@ def sectional_curvature(pl: TangentPlane,
                         rie: np.ndarray | None = None) -> float:
     """K = R(u, v, u, v) / (|u|^2 |v|^2 - <u, v>^2).
 
-    Diagonal charts contract the component tensor directly.  The Cartesian
-    chart instead splits the vectors into radial/sphere/axis parts and uses
-    the principal-ratio expansion: its raw metric components grow like
-    e^(2r), so the tensor contraction loses all precision at large radius
-    while the adapted split stays exact.  Passing a precomputed tensor
-    forces the contraction route.
+    Every chart kind uses the principal-ratio expansion by default: the
+    vectors are split into radial/sphere/axis parts in a frame adapted to
+    the warped splitting, and R(u, v, u, v) is a combination of the four
+    principal ratios weighted by the plane's shadows.  This is the
+    one-sample case of the route :func:`scan_nonpositive` takes; it is
+    exact wherever the metric scales sigma^2 and tau^2 are finite and raises
+    :class:`ChartDomainError` beyond.  Passing a precomputed Riemann tensor
+    contracts it instead: the independent cross-check, whose raw components
+    overflow once sigma^4 leaves double range (r ~ 177 on the hyperbolic
+    piece).
     """
+    if rie is None:
+        chart = pl.point.chart
+        a, ratios, radii, finite = _adapted_vectors(
+            chart, pl.point.coords[None], np.stack([pl.u, pl.v])[None])
+        if not finite[0]:
+            raise _overflow_error(radii[0])
+        k, denom = _plane_curvatures(a, ratios)
+        if not denom[0] > _PLANE_TOL:
+            raise _parallel_error(denom[0])
+        return float(k[0])
     g = metric_tensor(pl.point)
     nu = pl.u / math.sqrt(float(pl.u @ g @ pl.u))
     nv = pl.v / math.sqrt(float(pl.v @ g @ pl.v))
     denom = _gram(g, nu, nv)
     if not denom > _PLANE_TOL:
-        raise DegeneratePlaneError(
-            f"vectors are parallel to within tolerance (gram {denom:g})")
-    chart = pl.point.chart
-    if chart.kind == CARTESIAN and rie is None:
-        r = pl.point.radius
-        jet, ratios = chart.profile.jet_ratios(r)
-        if r < R_MIN:
-            # every axis point of the three variants is isotropic
-            return ratios[0]
-        ar, a_s, az = adapted_components_raw(
-            chart, pl.point.coords, np.array([nu, nv]), jet[0], jet[3])
-        gram = np.outer(ar, ar) + a_s @ a_s.T + np.outer(az, az)
-        denom = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[0, 1]
-        if not denom > _PLANE_TOL:
-            raise DegeneratePlaneError("degenerate plane")
-        num = curvature_numerator(ratios, (ar[:1], a_s[:1], az[:1]),
-                                  (ar[1], a_s[1], az[1]))
-        return float(num[0, 0]) / denom
-    if rie is None:
-        rie = riemann(pl.point)
+        raise _parallel_error(denom)
     num = float(np.einsum("ijkl,i,j,k,l", rie, nu, nv, nu, nv))
     return num / denom
+
+
+def _parallel_error(denom: float) -> DegeneratePlaneError:
+    return DegeneratePlaneError(
+        f"vectors are parallel to within tolerance (gram {denom:g})")
+
+
+def _overflow_error(r: float) -> ChartDomainError:
+    return ChartDomainError(
+        f"metric scales sigma^2, tau^2 overflow at r = {r:.17g}: curvature "
+        "is defined only where they are finite")
+
+
+def _adapted_vectors(chart: MetricChart, coords: np.ndarray,
+                     vecs: np.ndarray):
+    """Adapted parts of a batch of vector stacks, one radial jet per point.
+
+    coords is (N, dim) and vecs (N, m, dim).  Returns (a, ratios, radii,
+    finite): a[p, i] concatenates the radial, sphere and axis parts of
+    vecs[p, i], so metric inner products are plain dot products of its
+    rows; ratios[p] holds the four principal ratios, all equal at isotropic
+    points; finite marks the points whose metric scales, and the squared
+    lengths of whose vectors, are finite.
+    """
+    d = chart.block_dim
+    if chart.kind == CARTESIAN:
+        radii = np.sqrt(np.vecdot(coords[:, :d], coords[:, :d]))
+    else:
+        radii = coords[:, 0]
+    jets = np.array([_scales_and_ratios(chart.profile, r)
+                     for r in radii.tolist()])
+    sigma, tau, ratios = jets[:, 0], jets[:, 1], jets[:, 2:]
+    axis = radii < R_MIN
+    if chart.kind == CARTESIAN and axis.any():
+        # the metric is isotropic on the axis: any unit radial direction
+        # with sigma/r = 1 gives its inner products, and every plane has
+        # the curvature k1
+        coords = coords.copy()
+        coords[axis, :d] = np.eye(d)[0]
+        sigma = np.where(axis, 1.0, sigma)
+        ratios[axis] = ratios[axis, :1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ar, a_s, az = adapted_components_raw(chart, coords, vecs, sigma, tau)
+        a = np.concatenate([ar[..., None], a_s, az[..., None]], axis=-1)
+        finite = (np.isfinite(sigma * sigma) & np.isfinite(tau * tau)
+                  & np.all(np.isfinite(np.vecdot(a, a)), axis=-1))
+    return a, ratios, radii, finite
+
+
+def _scales_and_ratios(profile: WarpingProfile, r: float):
+    """(sigma, tau, k1, k2, k3, k4) at radius r; the scales read infinite
+    past r ~ 710, where sinh and cosh leave double range."""
+    try:
+        jet, ratios = profile.jet_ratios(r)
+    except OverflowError:
+        return (math.inf, math.inf) + (math.nan,) * 4
+    return (jet[0], jet[3], *ratios)
+
+
+def _plane_curvatures(a: np.ndarray, ratios: np.ndarray):
+    """(K, Gram determinant) of the planes spanned by a[p, 0] and a[p, 1],
+    adapted vectors as from :func:`_adapted_vectors`; both vectors are
+    normalized first."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = a / np.sqrt(np.vecdot(a, a))[..., None]
+        gram = a @ a.mT
+        denom = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 0, 1]
+        u, v = a[:, :1], a[:, 1]
+        num = curvature_numerator(
+            ratios.T[..., None, None], (u[..., 0], u[..., 1:-1], u[..., -1]),
+            (v[..., 0], v[..., 1:-1], v[..., -1]))[:, 0, 0]
+        # where the four ratios agree (the flat tube, the hyperbolic piece,
+        # the axis) every plane has that curvature
+        isotropic = np.all(ratios == ratios[:, :1], axis=1)
+        k = np.where(isotropic, ratios[:, 0], num / denom)
+    return k, denom
 
 
 # ---------------------------------------------------------------------------
@@ -593,39 +664,45 @@ def max_plane_curvature(profile: WarpingProfile, r: float) -> float:
 
 
 def adapted_components_raw(chart: MetricChart, coords: np.ndarray,
-                           vecs: np.ndarray, sigma: float, tau: float):
+                           vecs: np.ndarray, sigma, tau):
     """Radial / sphere / axis parts (a_r, a_s, a_z) of the rows of ``vecs``
     in an orthonormal frame adapted to the warped splitting, given sigma and
     tau at the point; only inner products of sphere parts (rows of a_s) are
-    frame-independent."""
+    frame-independent.  Leading axes of coords, sigma and tau, and of vecs
+    before its row axis, index a batch of points."""
     vecs = np.asarray(vecs, dtype=float)
+    sigma = np.asarray(sigma)[..., None]
+    tau = np.asarray(tau)[..., None]
     if chart.kind == CARTESIAN:
         d = chart.block_dim
-        x = coords[:d]
-        r = chart.radius_of(coords)
-        if r <= 0.0:
+        x = coords[..., :d]
+        r = np.sqrt(np.vecdot(x, x))[..., None]
+        if np.any(r <= 0.0):
             raise ChartDomainError("adapted frame undefined on the axis")
         xhat = x / r
-        vr = vecs[:, :d] @ xhat
-        perp = vecs[:, :d] - np.outer(vr, xhat)
-        return vr, (sigma / r) * perp, vecs[:, d] * tau
+        vr = (vecs[..., :d] @ xhat[..., None])[..., 0]
+        perp = vecs[..., :d] - vr[..., None] * xhat[..., None, :]
+        return vr, (sigma / r)[..., None] * perp, vecs[..., d] * tau
     if chart.kind == FOUR_D:
-        st = math.sin(coords[1])
-        a_s = np.stack([vecs[:, 1] * sigma, vecs[:, 2] * sigma * st], axis=1)
-        return vecs[:, 0], a_s, vecs[:, 3] * tau
+        st = np.sin(coords[..., 1:2])
+        a_s = np.stack([vecs[..., 1] * sigma, vecs[..., 2] * sigma * st],
+                       axis=-1)
+        return vecs[..., 0], a_s, vecs[..., 3] * tau
     d = chart.block_dim
     scale = sigma
-    a_s = np.empty((len(vecs), d - 1))
+    a_s = np.empty(vecs.shape[:-1] + (d - 1,))
     for i in range(d - 1):
-        a_s[:, i] = vecs[:, 1 + i] * scale
+        a_s[..., i] = vecs[..., 1 + i] * scale
         if i < d - 2:
-            scale *= math.sin(coords[1 + i])
-    return vecs[:, 0], a_s, vecs[:, d] * tau
+            scale = scale * np.sin(coords[..., 1 + i:2 + i])
+    return vecs[..., 0], a_s, vecs[..., d] * tau
 
 
 def curvature_numerator(ratios, w_parts, v_parts) -> np.ndarray:
     """M[i, j] = R(w_i, v, w_j, v) from the adapted parts of a stack of
     vectors w_i and of one vector v; R(u, v, u, v) is the 1 x 1 case.
+    Leading axes of both sets of parts index a batch, and then each ratio
+    broadcasts against M (shape (..., 1, 1)).
 
     Each principal ratio multiplies the Gram matrix of the planes' shadows
     on its coordinate 2-plane: rows w_r[i] v_s - v_r w_s[i] (k1), sphere
@@ -635,14 +712,17 @@ def curvature_numerator(ratios, w_parts, v_parts) -> np.ndarray:
     k1, k2, k3, k4 = ratios
     wr, ws, wz = w_parts
     vr, vs, vz = v_parts
-    p1 = np.outer(wr, vs) - vr * ws
-    a = ws @ vs
+    vr = vr[..., None]
+    vz = vz[..., None]
+    p1 = wr[..., :, None] * vs[..., None, :] - vr[..., None] * ws
+    a = (ws @ vs[..., :, None])[..., 0]
     p3 = wr * vz - vr * wz
-    p4 = np.outer(wz, vs) - vz * ws
-    return (k1 * (p1 @ p1.T)
-            + k2 * (float(vs @ vs) * (ws @ ws.T) - np.outer(a, a))
-            + k3 * np.outer(p3, p3)
-            + k4 * (p4 @ p4.T))
+    p4 = wz[..., :, None] * vs[..., None, :] - vz[..., None] * ws
+    vv = np.vecdot(vs, vs)[..., None, None]
+    return (k1 * (p1 @ p1.mT)
+            + k2 * (vv * (ws @ ws.mT) - a[..., :, None] * a[..., None, :])
+            + k3 * (p3[..., :, None] * p3[..., None, :])
+            + k4 * (p4 @ p4.mT))
 
 
 # ---------------------------------------------------------------------------
@@ -772,27 +852,58 @@ def default_region(chart: MetricChart, r_max: float | None = None) -> Box:
     return Box(tuple(lo), tuple(hi))
 
 
-def _sample_curvature(chart: MetricChart, region: Box, seed: int,
-                      index: int) -> tuple[float, tuple]:
-    rng = sample_stream(seed, index)
-    lo = np.asarray(region.lo)
-    hi = np.asarray(region.hi)
+_SCAN_BLOCK = 4096       # sample indices evaluated per batch
+_DRAW_ATTEMPTS = 64
+
+
+def _scan_block(chart: MetricChart, region: Box, seed: int, start: int,
+                stop: int):
+    """(K, coords, errors) of the scan samples start..stop-1.
+
+    Index i draws from its own stream: a point uniform in the box, then two
+    standard-normal vectors, orthonormalized in the metric; an attempt whose
+    second vector is too close to the first draws again from the same
+    stream.  K[j] is NaN where sample start + j raised; coords[j] is its
+    last attempt's point and errors[j] the exception it raised.
+    """
+    lo = np.asarray(region.lo, dtype=float)
+    hi = np.asarray(region.hi, dtype=float)
     dim = chart.dim
-    for _ in range(64):
-        coords = lo + rng.random(dim) * (hi - lo)
-        point = ChartPoint(coords, chart)
-        g = metric_tensor(point)
-        u = rng.standard_normal(dim)
-        v = rng.standard_normal(dim)
-        u = u / math.sqrt(float(u @ g @ u))
-        v = v - float(u @ g @ v) * u
-        vnorm2 = float(v @ g @ v)
-        if vnorm2 < _PLANE_TOL:
-            continue
-        v = v / math.sqrt(vnorm2)
-        k_val = sectional_curvature(plane(point, u, v))
-        return k_val, tuple(coords)
-    raise DegeneratePlaneError("could not draw an independent plane")
+    streams = [sample_stream(seed, i) for i in range(start, stop)]
+    ks = np.full(len(streams), math.nan)
+    coords = np.empty((len(streams), dim))
+    errors: dict[int, ValueError] = {}
+    todo = np.arange(len(streams))
+    for _ in range(_DRAW_ATTEMPTS):
+        picked = [streams[j] for j in todo]
+        draws = np.array([(rng.random(dim), rng.standard_normal(dim),
+                           rng.standard_normal(dim)) for rng in picked])
+        points = lo + draws[:, 0] * (hi - lo)
+        coords[todo] = points
+        a, ratios, radii, finite = _adapted_vectors(chart, points,
+                                                    draws[:, 1:])
+        for j in np.flatnonzero(~finite):
+            errors[int(todo[j])] = _overflow_error(radii[j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = a[:, 0] / np.sqrt(np.vecdot(a[:, 0], a[:, 0]))[:, None]
+            v = a[:, 1] - np.vecdot(u, a[:, 1])[:, None] * u
+            vnorm2 = np.vecdot(v, v)
+        redraw = finite & (vnorm2 < _PLANE_TOL)
+        done = np.flatnonzero(finite & ~redraw)
+        planes = np.stack([u[done], v[done] / np.sqrt(vnorm2[done])[:, None]],
+                          axis=1)
+        k, denom = _plane_curvatures(planes, ratios[done])
+        flat = ~(denom > _PLANE_TOL)
+        for j, dj in zip(todo[done][flat], denom[flat]):
+            errors[int(j)] = _parallel_error(dj)
+        ks[todo[done]] = np.where(flat, math.nan, k)
+        todo = todo[redraw]
+        if not todo.size:
+            break
+    for j in todo:
+        errors[int(j)] = DegeneratePlaneError(
+            "could not draw an independent plane")
+    return ks, coords, errors
 
 
 def scan_nonpositive(chart: MetricChart, samples: int, seed: int,
@@ -802,8 +913,13 @@ def scan_nonpositive(chart: MetricChart, samples: int, seed: int,
     Points are uniform in the region box; planes come from two
     standard-normal tangent vectors orthonormalized in the metric.  Each
     sample index has its own counter-based stream, so the report is a
-    pure function of the seed.  The first non-finite sample ends the scan
-    with both extremes NaN at its coordinates.
+    pure function of the seed.  Samples are evaluated in blocks through
+    the principal-ratio expansion of :func:`sectional_curvature`, one
+    radial jet per sample, and their outcomes are taken in index order: the
+    first sample that raises (:class:`ChartDomainError` where the metric
+    scales overflow, :class:`DegeneratePlaneError` for a plane that cannot
+    be drawn) raises, and the first non-finite sample ends the scan with
+    both extremes NaN at its coordinates.  Ties go to the lowest index.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -814,18 +930,25 @@ def scan_nonpositive(chart: MetricChart, samples: int, seed: int,
 
     best_max = (-math.inf, None)
     best_min = (math.inf, None)
-    for i in range(samples):
-        k_val, coords = _sample_curvature(chart, region, seed, i)
-        if not math.isfinite(k_val):
+    for start in range(0, samples, _SCAN_BLOCK):
+        ks, coords, errors = _scan_block(chart, region, seed, start,
+                                         min(start + _SCAN_BLOCK, samples))
+        bad = np.flatnonzero(~np.isfinite(ks))
+        if bad.size:
+            j = int(bad[0])
+            if j in errors:
+                raise errors[j]
             # a NaN or infinite sample makes both extremes NaN at its
             # coordinates, so that no "<= tol" check can pass the scan
+            where = tuple(coords[j].tolist())
             return ScanReport(samples=samples, seed=seed,
-                              max_curvature=math.nan, max_coords=coords,
-                              min_curvature=math.nan, min_coords=coords)
-        if k_val > best_max[0]:
-            best_max = (k_val, coords)
-        if k_val < best_min[0]:
-            best_min = (k_val, coords)
+                              max_curvature=math.nan, max_coords=where,
+                              min_curvature=math.nan, min_coords=where)
+        i_max, i_min = int(np.argmax(ks)), int(np.argmin(ks))
+        if ks[i_max] > best_max[0]:
+            best_max = (float(ks[i_max]), tuple(coords[i_max].tolist()))
+        if ks[i_min] < best_min[0]:
+            best_min = (float(ks[i_min]), tuple(coords[i_min].tolist()))
     return ScanReport(samples=samples, seed=seed,
                       max_curvature=best_max[0], max_coords=best_max[1],
                       min_curvature=best_min[0], min_coords=best_min[1])

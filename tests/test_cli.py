@@ -63,6 +63,12 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    def test_past_metric_range_returns_two(self, capsys):
+        assert run(["verify-curvature", "--r-max", "400"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow at r = " in err
+
 class TestReportSchema:
     def test_verify_profile_report_fields(self, tmp_path, capsys):
         code, out = run_to_file(tmp_path, "report.json",

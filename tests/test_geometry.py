@@ -406,6 +406,20 @@ class TestSectionalCurvature:
             k = geometry.sectional_curvature(geometry.plane(point, u, v))
             assert abs(k) <= 1e-12
 
+    @pytest.mark.parametrize("variant,expected", [("ramp19", 0.0),
+                                                  ("hyperbolic_profile", -1.0)])
+    def test_cartesian_axis_is_isotropic(self, request, variant, expected):
+        # within R_MIN of the axis the adapted frame is undefined; every
+        # plane there reads the common principal ratio
+        chart = MetricChart.cartesian(request.getfixturevalue(variant), 2)
+        rng = np.random.default_rng(8)
+        for x0 in (0.0, 3e-9):
+            point = chart.point([x0, 0.0, 0.0, 0.0, 0.4])
+            u = rng.standard_normal(chart.dim)
+            v = rng.standard_normal(chart.dim)
+            k = geometry.sectional_curvature(geometry.plane(point, u, v))
+            assert k == expected
+
     def test_basis_invariance(self, four_d_19):
         rng = np.random.default_rng(7)
         point = four_d_19.point([19.0, 1.0, 1.0, 0.0])
@@ -472,6 +486,24 @@ class TestSectionalCurvature:
                 geometry.plane(cart_point, u_c, v_c))
             assert k_cart == pytest.approx(k_polar, rel=1e-8, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["four_d", "polar1", "polar2"])
+    def test_ratio_route_matches_tensor_route(self, ramp19, kind):
+        # the Riemann-tensor contraction is the independent cross-check of
+        # the principal-ratio route: flat-tube, ramp and hyperbolic radii
+        rng = np.random.default_rng(17)
+        for r in (0.01, 0.04, 0.3, 2.0, 9.0, 25.0, 37.0, 45.0, 70.0, 100.0):
+            chart, coords = operator_point(ramp19, kind, r, rng)
+            point = chart.point(coords)
+            rie = geometry.riemann(point)
+            for _ in range(4):
+                pl = geometry.plane(point, rng.standard_normal(chart.dim),
+                                    rng.standard_normal(chart.dim))
+                k_ratio = geometry.sectional_curvature(pl)
+                k_tensor = geometry.sectional_curvature(pl, rie)
+                assert type(k_ratio) is float and type(k_tensor) is float
+                assert abs(k_ratio - k_tensor) <= 1e-8 * max(1.0,
+                                                            abs(k_tensor))
+
     def test_degenerate_plane_rejected(self, four_d_19):
         point = four_d_19.point([2.0, 1.0, 1.0, 0.0])
         u = np.array([1.0, 0.5, 0.0, 0.0])
@@ -512,12 +544,23 @@ class TestScans:
         assert first.min_curvature == second.min_curvature
         assert first.min_coords == second.min_coords
 
-    def test_non_finite_samples_fail_the_scan(self, hyperbolic_profile):
-        # sigma^4 ~ e^(4r) overflows the four_d tensor route here and every
-        # sample is NaN: the extremes must be NaN at a sample's coordinates
+    def test_non_finite_samples_fail_the_scan(self, hyperbolic_profile,
+                                              monkeypatch):
+        # one sample whose ratios are NaN: the extremes must be NaN at that
+        # sample's coordinates, whatever the other samples read
         chart = MetricChart.four_d_model(hyperbolic_profile)
         region = geometry.Box((249.0, 0.05, 0.0, -2.0),
                               (250.0, math.pi - 0.05, 2 * math.pi, 2.0))
+        lo, hi = np.array(region.lo), np.array(region.hi)
+        bad_r = float(lo[0] + geometry.sample_stream(0, 7).random(4)[0]
+                      * (hi[0] - lo[0]))
+        jet_ratios = type(hyperbolic_profile).jet_ratios
+
+        def poisoned(self, r):
+            jet, ratios = jet_ratios(self, r)
+            return jet, ((math.nan,) * 4 if r == bad_r else ratios)
+
+        monkeypatch.setattr(type(hyperbolic_profile), "jet_ratios", poisoned)
         report = geometry.scan_nonpositive(chart, 20, seed=0, region=region)
         assert math.isnan(report.max_curvature)
         assert math.isnan(report.min_curvature)
@@ -525,6 +568,46 @@ class TestScans:
         assert report.max_coords == report.min_coords
         assert 249.0 <= report.max_coords[0] <= 250.0
         assert not report.max_curvature <= 0.0
+        assert report.max_coords[0] == bad_r
+
+    @pytest.mark.parametrize("kind", ["four_d", "polar3"])
+    def test_scan_exact_past_tensor_overflow(self, hyperbolic_profile, kind):
+        # sigma^4 ~ e^(4r) has left double range at r = 249, where the
+        # tensor route overflows; the principal-ratio route stays exact
+        if kind == "four_d":
+            chart = MetricChart.four_d_model(hyperbolic_profile)
+            region = geometry.Box((249.0, 0.05, 0.0, -2.0),
+                                  (250.0, math.pi - 0.05, 2 * math.pi, 2.0))
+        else:
+            chart = MetricChart.polar(hyperbolic_profile, 1)
+            region = geometry.Box((249.0, 0.0, -2.0),
+                                  (250.0, 2 * math.pi, 2.0))
+        report = geometry.scan_nonpositive(chart, 20, seed=0, region=region)
+        assert report.max_curvature == pytest.approx(-1.0, abs=1e-8)
+        assert report.min_curvature == pytest.approx(-1.0, abs=1e-8)
+
+    def test_scan_past_metric_range_raises(self, hyperbolic_profile):
+        # sigma^2 ~ e^(2r)/4 overflows from r ~ 355: a typed error naming
+        # the radius, not a degenerate plane
+        chart = MetricChart.four_d_model(hyperbolic_profile)
+        region = geometry.Box((400.0, 0.05, 0.0, -2.0),
+                              (401.0, math.pi - 0.05, 2 * math.pi, 2.0))
+        with pytest.raises(ChartDomainError, match=r"r = 40[01]\."):
+            geometry.scan_nonpositive(chart, 20, seed=0, region=region)
+        far = geometry.Box((800.0, 0.05, 0.0, -2.0),
+                           (801.0, math.pi - 0.05, 2 * math.pi, 2.0))
+        with pytest.raises(ChartDomainError, match=r"r = 80[01]\."):
+            geometry.scan_nonpositive(chart, 20, seed=0, region=far)
+        point = chart.point([400.5, 1.0, 1.0, 0.0])
+        with pytest.raises(ChartDomainError, match=r"r = 400\.5"):
+            geometry.sectional_curvature(
+                geometry.plane(point, [1.0, 0, 0, 0], [0, 1.0, 0, 0]))
+
+    def test_report_extremes_are_floats(self, four_d_19):
+        report = geometry.scan_nonpositive(four_d_19, 50, seed=4)
+        assert type(report.max_curvature) is float
+        assert type(report.min_curvature) is float
+        assert all(type(c) is float for c in report.max_coords)
 
     def test_scan_respects_region(self, four_d_19):
         region = geometry.Box((5.0, 0.4, 0.0, -1.0), (6.0, 0.5, 6.2, 1.0))
@@ -538,3 +621,147 @@ class TestScans:
             geometry.Box((1.0, 0.0), (0.5, 1.0))
         with pytest.raises(ValueError):
             geometry.Box((1.0,), (2.0, 3.0))
+
+
+# ---------------------------------------------------------------------------
+# the batched scan against the sequential sampler it replaced
+# ---------------------------------------------------------------------------
+
+def sequential_sample(chart, region, seed, index):
+    """One scan sample drawn and orthonormalized one index at a time in
+    chart coordinates with the metric tensor, then evaluated by the
+    single-plane route: the sampler the batched scan replaced."""
+    rng = geometry.sample_stream(seed, index)
+    lo = np.asarray(region.lo)
+    hi = np.asarray(region.hi)
+    dim = chart.dim
+    for _ in range(64):
+        coords = lo + rng.random(dim) * (hi - lo)
+        point = geometry.ChartPoint(coords, chart)
+        g = geometry.metric_tensor(point)
+        u = rng.standard_normal(dim)
+        v = rng.standard_normal(dim)
+        u = u / math.sqrt(float(u @ g @ u))
+        v = v - float(u @ g @ v) * u
+        vnorm2 = float(v @ g @ v)
+        if vnorm2 < 1e-14:
+            continue
+        v = v / math.sqrt(vnorm2)
+        k_val = geometry.sectional_curvature(geometry.plane(point, u, v))
+        return k_val, tuple(coords)
+    raise DegeneratePlaneError("could not draw an independent plane")
+
+
+def sequential_scan(chart, samples, seed, region):
+    """(max, max coords, min, min coords) by a strict-comparison loop."""
+    best_max = (-math.inf, None)
+    best_min = (math.inf, None)
+    for i in range(samples):
+        k_val, coords = sequential_sample(chart, region, seed, i)
+        if k_val > best_max[0]:
+            best_max = (k_val, coords)
+        if k_val < best_min[0]:
+            best_min = (k_val, coords)
+    return best_max + best_min
+
+
+def scan_chart(profile, kind):
+    if kind == "cartesian":
+        return MetricChart.cartesian(profile, 1)
+    if kind == "four_d":
+        return MetricChart.four_d_model(profile)
+    return MetricChart.polar(profile, 1 if kind == "polar1" else 2)
+
+
+class TestBatchedScanOracle:
+    @pytest.mark.parametrize("kind", OPERATOR_CHARTS)
+    @pytest.mark.parametrize("variant", ["flat", "hyperbolic", "ramp19"])
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_matches_sequential_sampler(self, request, kind, variant, seed):
+        profile = request.getfixturevalue(
+            {"flat": "flat_profile", "hyperbolic": "hyperbolic_profile",
+             "ramp19": "ramp19"}[variant])
+        chart = scan_chart(profile, kind)
+        region = geometry.default_region(chart)
+        samples = 150
+        ks, coords, errors = geometry._scan_block(chart, region, seed, 0,
+                                                  samples)
+        assert not errors
+        for i in range(samples):
+            k_ref, coords_ref = sequential_sample(chart, region, seed, i)
+            assert abs(ks[i] - k_ref) <= 1e-13 * max(1.0, abs(k_ref))
+            assert tuple(coords[i]) == coords_ref
+        report = geometry.scan_nonpositive(chart, samples, seed, region)
+        k_max, at_max, k_min, at_min = sequential_scan(chart, samples, seed,
+                                                       region)
+        assert abs(report.max_curvature - k_max) <= 1e-13 * max(1.0,
+                                                                abs(k_max))
+        assert abs(report.min_curvature - k_min) <= 1e-13 * max(1.0,
+                                                                abs(k_min))
+        assert report.max_coords == at_max
+        assert report.min_coords == at_min
+
+    def test_first_failing_index_decides(self, hyperbolic_profile):
+        # radii on both sides of the metric's range: the lowest index past
+        # it names the radius, as in the sequential loop
+        chart = MetricChart.four_d_model(hyperbolic_profile)
+        region = geometry.Box((300.0, 0.05, 0.0, -2.0),
+                              (420.0, math.pi - 0.05, 2 * math.pi, 2.0))
+        with pytest.raises(ChartDomainError) as batched:
+            geometry.scan_nonpositive(chart, 50, 3, region)
+        with pytest.raises(ChartDomainError) as sequential, \
+                np.errstate(over="ignore", invalid="ignore"):
+            sequential_scan(chart, 50, 3, region)
+        assert str(batched.value) == str(sequential.value)
+
+    def test_blocks_do_not_change_the_report(self, four_d_19, monkeypatch):
+        whole = geometry.scan_nonpositive(four_d_19, 300, seed=5)
+        monkeypatch.setattr(geometry, "_SCAN_BLOCK", 7)
+        assert geometry.scan_nonpositive(four_d_19, 300, seed=5) == whole
+
+    @pytest.mark.parametrize("kind", OPERATOR_CHARTS)
+    def test_redraw_consumes_the_same_stream(self, ramp19, monkeypatch,
+                                             kind):
+        # index 3's first v is parallel to its u, so both routes must reject
+        # that attempt and take the second one from index 3's own stream
+        real_stream = geometry.sample_stream
+        draws = []
+
+        class ParallelFirst:
+            def __init__(self, rng):
+                self.rng = rng
+                self.normals = []
+
+            def random(self, n):
+                draws.append("random")
+                return self.rng.random(n)
+
+            def standard_normal(self, n):
+                draws.append("normal")
+                x = self.rng.standard_normal(n)
+                if len(self.normals) == 1:
+                    x = 2.0 * self.normals[0]
+                self.normals.append(x)
+                return x
+
+        def stream(seed, index):
+            rng = real_stream(seed, index)
+            return ParallelFirst(rng) if index == 3 else rng
+
+        monkeypatch.setattr(geometry, "sample_stream", stream)
+        chart = scan_chart(ramp19, kind)
+        # radii up to 2, where the metric is O(1): the redraw test
+        # vnorm2 < 1e-14 is absolute, so rounding left over from parallel
+        # vectors passes it where sigma is large
+        region = geometry.default_region(chart, r_max=2.0)
+        ks, coords, errors = geometry._scan_block(chart, region, 1, 0, 6)
+        batched = list(draws)
+        draws.clear()
+        k_ref, coords_ref = sequential_sample(chart, region, 1, 3)
+        assert not errors
+        assert batched == draws == ["random", "normal", "normal"] * 2
+        assert abs(ks[3] - k_ref) <= 1e-13 * max(1.0, abs(k_ref))
+        assert tuple(coords[3]) == coords_ref
+        first = (np.asarray(region.lo) + real_stream(1, 3).random(chart.dim)
+                 * (np.asarray(region.hi) - np.asarray(region.lo)))
+        assert tuple(first) != coords_ref
