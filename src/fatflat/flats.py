@@ -96,31 +96,33 @@ class PointCloud:
         return cls(np.loadtxt(path, delimiter=",", ndmin=2))
 
 
-def _directed_sq_max(source: np.ndarray, target: np.ndarray) -> float:
-    """max over source points of squared distance to the nearest target point."""
-    worst = 0.0
-    for start in range(0, source.shape[0], _ROW_CHUNK):
-        block = source[start : start + _ROW_CHUNK]
-        diff = block[:, None, :] - target[None, :, :]
-        nearest = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
-        worst = max(worst, float(nearest.max()))
-    return worst
-
-
 def hausdorff_distance(first: PointCloud, second: PointCloud) -> float:
     """Hausdorff distance between two finite point clouds.
 
     The larger of the two directed distances, where the directed distance
     from X to Y is the maximum over X of the distance to the nearest point
     of Y.  Raises ``ValueError`` when the ambient dimensions differ.
+
+    Both directions come from one pass over the squared distances, a block
+    of rows of ``first`` at a time: the row minima give the forward
+    direction and a running column minimum the backward one.  The squares
+    of x - y and y - x are equal bit for bit, so this is the same number
+    two directed passes would give.
     """
     if first.dimension != second.dimension:
         raise ValueError(
             f"dimension mismatch: {first.dimension} versus {second.dimension}"
         )
-    forward = _directed_sq_max(first.points, second.points)
-    backward = _directed_sq_max(second.points, first.points)
-    return math.sqrt(max(forward, backward))
+    source, target = first.points, second.points
+    forward = 0.0
+    nearest_source = np.full(target.shape[0], np.inf)
+    for start in range(0, source.shape[0], _ROW_CHUNK):
+        block = source[start : start + _ROW_CHUNK]
+        diff = block[:, None, :] - target[None, :, :]
+        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        forward = max(forward, float(sq.min(axis=1).max()))
+        np.minimum(nearest_source, sq.min(axis=0), out=nearest_source)
+    return math.sqrt(max(forward, float(nearest_source.max())))
 
 
 @dataclass(eq=False)
@@ -193,6 +195,11 @@ class ConvexBody:
     _facet_normals: np.ndarray = field(init=False, repr=False)
     _facet_offsets: np.ndarray = field(init=False, repr=False)
     _volume: float = field(init=False, repr=False)
+    _center: np.ndarray | None = field(init=False, repr=False)
+    _inner_sq: float = field(init=False, repr=False)
+    _outer: float = field(init=False, repr=False)
+    _stretch: float = field(init=False, repr=False)
+    _delta: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.vertices = _as_points(self.vertices)
@@ -207,19 +214,61 @@ class ConvexBody:
             self._facet_normals = np.array([[1.0], [-1.0]])
             self._facet_offsets = np.array([-hi, lo])
             self._volume = hi - lo
-            return
-        try:
-            hull = ConvexHull(self.vertices)
-        except QhullError as exc:
-            raise DegenerateBodyError(
-                "vertices span zero volume in their ambient dimension"
-            ) from exc
-        if not hull.volume > 0.0:
-            raise DegenerateBodyError("vertex hull has zero volume")
-        # Facet form: normals @ x + offsets <= 0 on the body.
-        self._facet_normals = hull.equations[:, :-1].copy()
-        self._facet_offsets = hull.equations[:, -1].copy()
-        self._volume = float(hull.volume)
+        else:
+            try:
+                hull = ConvexHull(self.vertices)
+            except QhullError as exc:
+                raise DegenerateBodyError(
+                    "vertices span zero volume in their ambient dimension"
+                ) from exc
+            if not hull.volume > 0.0:
+                raise DegenerateBodyError("vertex hull has zero volume")
+            # Facet form: normals @ x + offsets <= 0 on the body.
+            self._facet_normals = hull.equations[:, :-1].copy()
+            self._facet_offsets = hull.equations[:, -1].copy()
+            self._volume = float(hull.volume)
+        self._set_balls()
+
+    def _set_balls(self) -> None:
+        """Centre, inradius and outradius of the ball test in ``contains``.
+
+        The centre c is the vertex mean, inside every full-dimensional hull;
+        r_in = min_j -(n_j.c + o_j)/|n_j| and R_out = max_i |v_i - c|.
+        With u = 2^-53, S = |c| + R_out and d = |p - c|, for l <= 3 the
+        computed slack n.p + o is off by at most 4.01u(2S + d), d^2 by
+        5.01u d^2, r_in by 12uS and R_out by 3u R_out.  So:
+
+        * accepting d <= r_in - delta leaves an exact slack below
+          -delta + 16uS and a computed one below -delta + 29uS;
+        * rejecting d >= R_out + (R_out/r_in)(tol (1 + 2^-16) + delta)
+          leaves an exact slack of at least tol + (1 - 2^-16) delta - 9uS
+          - xi, where xi is how far the corners of the stored planes lie
+          outside the ball of radius R_out, and a computed one above tol
+          once delta > xi + 30uS (the rounding of the slack grows with d
+          as 4.01u d, slower than the slack's own r_in/R_out > 2^-32).
+
+        delta = 2^-32 S = 2^21 uS.  Past the rounding it is the allowance
+        for xi: Qhull's planes miss their vertices by a few uS, which moves
+        the corner of two planes meeting at angle theta by about
+        uS/sin(theta).  Requiring r_in > delta keeps R_out/r_in known to
+        12uS/r_in < 2^-17 relative, which the 2^-16 on tol covers.  A body
+        thinner than that runs the facet test alone.
+        """
+        center = self.vertices.mean(axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->i", self._facet_normals,
+                                  self._facet_normals))
+        depth = -(self._facet_normals @ center + self._facet_offsets) / norms
+        r_in = float(depth.min())
+        spokes = self.vertices - center
+        self._outer = math.sqrt(float(np.einsum("ij,ij->i", spokes,
+                                                spokes).max()))
+        self._delta = 2.0**-32 * (float(np.linalg.norm(center)) + self._outer)
+        if r_in > self._delta:
+            self._center = center
+            self._inner_sq = (r_in - self._delta) ** 2
+            self._stretch = self._outer / r_in
+        else:
+            self._center = None
 
     @property
     def dimension(self) -> int:
@@ -241,8 +290,39 @@ class ConvexBody:
         return ConvexBody(motion.apply(self.vertices))
 
     def contains(self, points: np.ndarray, tol: float = _MEMBERSHIP_TOL):
-        """Boolean mask: which row points lie in the body (within ``tol``)."""
+        """Boolean mask: which row points lie in the body (within ``tol``).
+
+        The rule is the facet test: every slack n_j.p + o_j is at most
+        ``tol``.  A ball test about the vertex mean c settles most points
+        first, exactly as the facet test would: a point with
+        |p - c| <= r_in - delta is inside the inscribed ball, so every
+        slack is negative; a point with
+        |p - c| >= R_out + (R_out/r_in)(tol + delta) is outside, because
+        the ray from c leaves the body through some facet j at a point q
+        with |q - c| <= R_out, so slack_j(p) >= (|p - c| - R_out)
+        r_in/R_out.  delta covers the rounding of both tests (see
+        ``_set_balls``), and only the points between the two radii go
+        through the facet test.  A negative ``tol``, or a body too thin
+        for the margins, takes the facet test alone.
+        """
         pts = _as_points(points, self.dimension)
+        if self._center is None or not tol >= 0.0:
+            return self._facet_test(pts, tol)
+        spokes = pts - self._center
+        dist_sq = np.einsum("ij,ij->i", spokes, spokes)
+        outer = self._outer + self._stretch * (tol * (1.0 + 2.0**-16)
+                                               + self._delta)
+        inside = dist_sq <= self._inner_sq
+        unsure = ~inside & (dist_sq < outer * outer)
+        if unsure.any():
+            inside[unsure] = self._facet_test(pts[unsure], tol)
+        return inside
+
+    def _facet_test(self, pts: np.ndarray, tol: float) -> np.ndarray:
+        # BLAS takes a lone row through gemv, whose rounding can differ from
+        # gemm's by an ulp; as a pair it gets the slack any batch gives it
+        if pts.shape[0] == 1:
+            return self._facet_test(np.concatenate([pts, pts]), tol)[:1]
         slack = pts @ self._facet_normals.T + self._facet_offsets
         return np.all(slack <= tol, axis=1)
 
@@ -285,7 +365,12 @@ def _count_chunk(
     gen = sample_stream(seed, start)
     pts = lo + gen.random((count, lo.shape[0])) * span
     in_body = body.contains(pts)
-    in_union = in_body | moved.contains(pts)
+    in_union = in_body.copy()
+    # the moved body only decides the samples outside the body; a motion
+    # that maps the body onto itself can leave none
+    outside = ~in_body
+    if outside.any():
+        in_union[outside] = moved.contains(pts[outside])
     return int(in_body.sum()), int(in_union.sum())
 
 

@@ -632,18 +632,29 @@ def curvature_components_closed_form(profile: WarpingProfile, r: float,
         R_(phi theta phi theta) = (1 - sigma'^2) sigma^2 sin^2(theta)
         R_(theta z theta z) = -sigma sigma' tau tau'
         R_(phi z phi z)     = -sigma sigma' tau tau' sin^2(theta)
+
+    Exact while sigma^4 is finite; past that (r ~ 178 on the hyperbolic
+    piece) raises :class:`ChartDomainError` naming the radius.
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
     if not 0.0 < theta < math.pi:
         raise ValueError("theta must lie in (0, pi)")
-    (sg, sgp, sgpp, tu, tup, tupp, _), (_, k2, _, _) = profile.jet_ratios(r)
     st2 = math.sin(theta) ** 2
-    theta_r = -sg * sgpp
-    z_r = -tu * tupp
-    # (1 - sigma'^2) sigma^2 via the cancellation-free ratio k2
-    phi_theta = k2 * sg ** 4 * st2
-    theta_z = -sg * sgp * tu * tup
+    try:
+        (sg, sgp, sgpp, tu, tup, tupp, _), (_, k2, _, _) = \
+            profile.jet_ratios(r)
+        # (1 - sigma'^2) sigma^2 via the cancellation-free ratio k2
+        phi_theta = k2 * sg ** 4 * st2
+        theta_r = -sg * sgpp
+        z_r = -tu * tupp
+        theta_z = -sg * sgp * tu * tup
+    except OverflowError:
+        phi_theta = theta_r = z_r = theta_z = math.inf
+    if not all(map(math.isfinite, (phi_theta, theta_r, z_r, theta_z))):
+        raise ChartDomainError(
+            f"curvature components overflow at r = {r:.17g}: sigma^4 is "
+            "finite only up to r ~ 178")
     return CurvatureComponents(
         theta_r=theta_r,
         phi_r=theta_r * st2,
@@ -862,9 +873,10 @@ def _scan_block(chart: MetricChart, region: Box, seed: int, start: int,
 
     Index i draws from its own stream: a point uniform in the box, then two
     standard-normal vectors, orthonormalized in the metric; an attempt whose
-    second vector is too close to the first draws again from the same
-    stream.  K[j] is NaN where sample start + j raised; coords[j] is its
-    last attempt's point and errors[j] the exception it raised.
+    second vector keeps under 1e-14 of its squared length once projected
+    off the first draws again from the same stream.  K[j] is NaN where
+    sample start + j raised; coords[j] is its last attempt's point and
+    errors[j] the exception it raised.
     """
     lo = np.asarray(region.lo, dtype=float)
     hi = np.asarray(region.hi, dtype=float)
@@ -888,7 +900,10 @@ def _scan_block(chart: MetricChart, region: Box, seed: int, start: int,
             u = a[:, 0] / np.sqrt(np.vecdot(a[:, 0], a[:, 0]))[:, None]
             v = a[:, 1] - np.vecdot(u, a[:, 1])[:, None] * u
             vnorm2 = np.vecdot(v, v)
-        redraw = finite & (vnorm2 < _PLANE_TOL)
+            # relative to the squared length of the second vector: rounding
+            # left over from a v parallel to u scales with it
+            redraw = finite & (vnorm2 < _PLANE_TOL
+                               * np.vecdot(a[:, 1], a[:, 1]))
         done = np.flatnonzero(finite & ~redraw)
         planes = np.stack([u[done], v[done] / np.sqrt(vnorm2[done])[:, None]],
                           axis=1)

@@ -63,6 +63,15 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    def test_closed_form_past_its_range_returns_two(self, capsys):
+        # the closed-form grid reaches r = 200, where sigma^4 overflows
+        assert run(["verify-curvature", "--r-max", "200",
+                    "--samples", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "curvature components overflow at r = 200" in err
+        assert "OverflowError" not in err
+
     def test_past_metric_range_returns_two(self, capsys):
         assert run(["verify-curvature", "--r-max", "400"]) == 2
         err = capsys.readouterr().err

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fatflat import flats
 from fatflat.flats import (
     ConvexBody,
     DegenerateBodyError,
@@ -32,6 +33,19 @@ def brute_force_hausdorff(first, second):
     d_yx = max(min(float(np.linalg.norm(x - y)) for x in first.points)
                for y in second.points)
     return max(d_xy, d_yx)
+
+
+def directed_sq_max(source, target):
+    """Max over source of the squared distance to the nearest target point,
+    _ROW_CHUNK source rows at a time: the two-pass route that the one-pass
+    hausdorff_distance replaced, kept as its exact oracle."""
+    worst = 0.0
+    for start in range(0, source.shape[0], flats._ROW_CHUNK):
+        block = source[start:start + flats._ROW_CHUNK]
+        diff = block[:, None, :] - target[None, :, :]
+        nearest = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
+        worst = max(worst, float(nearest.max()))
+    return worst
 
 
 def unit_square():
@@ -115,6 +129,29 @@ class TestHausdorffDistance:
         with pytest.raises(ValueError):
             hausdorff_distance(PointCloud([[0.0, 0.0]]),
                                PointCloud([[0.0, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_pass_equals_two_directed_passes_exactly(self, dim):
+        # sizes on both sides of _ROW_CHUNK (512), and grid clouds with
+        # ties and duplicates
+        rng = np.random.default_rng(100 + dim)
+        sizes = [(1, 1), (1, 600), (600, 1), (7, 13), (511, 3), (512, 40),
+                 (513, 513), (600, 257), (90, 600)]
+        for n_first, n_second in sizes:
+            for grid in (False, True):
+                if grid:
+                    x = rng.integers(-3, 4, (n_first, dim)) * 0.5
+                    y = rng.integers(-3, 4, (n_second, dim)) * 0.5
+                else:
+                    scale = 10.0 ** rng.integers(-3, 4)
+                    x = rng.normal(size=(n_first, dim)) * scale
+                    y = rng.normal(size=(n_second, dim)) + rng.normal(size=dim)
+                expected = math.sqrt(max(directed_sq_max(x, y),
+                                         directed_sq_max(y, x)))
+                got = hausdorff_distance(PointCloud(x), PointCloud(y))
+                assert got == expected, (n_first, n_second, grid)
+                assert hausdorff_distance(PointCloud(y),
+                                          PointCloud(x)) == expected
 
 
 class TestIsometry:
@@ -243,10 +280,131 @@ class TestUnionVolume:
         assert first.union_volume == second.union_volume
         assert first.body_error == second.body_error
 
+    def test_frozen_estimates_bit_for_bit(self):
+        # float.hex() of the estimates before the ball test existed: the
+        # prefilter settles samples exactly as the facet test did
+        disk = union_volume(regular_polygon(256),
+                            Isometry.translation_by([0.0, 0.01]),
+                            samples=10 ** 6, seed=0)
+        assert disk.body_volume.hex() == "0x1.91e8068f1053ap+1"
+        assert disk.union_volume.hex() == "0x1.947d8f77d7a7ep+1"
+        square = union_volume(unit_square(),
+                              Isometry.translation_by([0.5, 0.0]),
+                              samples=10 ** 6, seed=0)
+        assert square.body_volume.hex() == "0x1.ff61672324c84p-1"
+        assert square.union_volume.hex() == "0x1.8000000000000p+0"
+
     def test_nonpositive_samples_rejected(self):
         with pytest.raises(ValueError):
             union_volume(unit_square(), Isometry.translation_by([0.1, 0.0]),
                          samples=0)
+
+
+def facet_test(body, points, tol):
+    """The membership rule itself: every facet slack at most tol."""
+    slack = points @ body._facet_normals.T + body._facet_offsets
+    return np.all(slack <= tol, axis=1)
+
+
+def ball_test_bodies():
+    rng = np.random.default_rng(17)
+    disk = regular_polygon(256)
+    return {
+        "disk256": disk,
+        "disk256_moved": disk.transformed(
+            Isometry.translation_by([0.0, 0.01])),
+        "square": unit_square(),
+        "sliver": ConvexBody([[0.0, 0.0], [100.0, 0.0], [100.0, 1e-3],
+                              [0.0, 1e-3]]),
+        "far_triangle": ConvexBody([[1e3, 1e3], [1e3 + 2.0, 1e3],
+                                    [1e3 + 0.3, 1e3 + 1.5]]),
+        "hull3d": ConvexBody(rng.normal(size=(30, 3))),
+        "tetrahedron": ConvexBody([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                   [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        "segment": ConvexBody(np.array([[-0.3], [0.4], [2.1]])),
+    }
+
+
+def adversarial_points(body, tol, rng):
+    """Points where the ball test and the facet test are closest to
+    disagreeing: within 1e-9 relative of r_in and R_out, the vertices, the
+    feet of the facets seen from the centre, points moved off the facets by
+    +-tol and by a few ulps, and points just past the vertices along their
+    spokes, where the slack grows most slowly."""
+    l = body.dimension
+    c = body.vertices.mean(axis=0)
+    normals = body._facet_normals
+    unit_normals = normals / np.linalg.norm(normals, axis=1)[:, None]
+    depth = -(normals @ c + body._facet_offsets)
+    r_in = float(np.min(depth / np.linalg.norm(normals, axis=1)))
+    spokes = body.vertices - c
+    spoke_len = np.linalg.norm(spokes, axis=1)
+    r_out = float(spoke_len.max())
+    scale = float(np.linalg.norm(c)) + r_out
+    random_dirs = rng.normal(size=(64, l))
+    dirs = np.concatenate([spokes / spoke_len[:, None], unit_normals,
+                           random_dirs / np.linalg.norm(
+                               random_dirs, axis=1)[:, None]])
+    rel = np.linspace(-1e-9, 1e-9, 11)
+    shells = [c + dirs[:, None, :] * (rho * (1.0 + rel))[None, :, None]
+              for rho in (r_in, r_out)]
+    feet = c + unit_normals * (depth / np.linalg.norm(normals, axis=1)
+                               )[:, None]
+    on_facets = np.concatenate([feet, body.vertices])
+    facet_dirs = np.concatenate([unit_normals, unit_normals[
+        np.argmax(body.vertices @ normals.T + body._facet_offsets, axis=1)]])
+    ulp = 2.0 ** -52 * scale
+    moves = np.concatenate([np.array([-tol, -0.5 * tol, 0.5 * tol, tol,
+                                      tol * (1 + 1e-6), tol * (1 - 1e-6)]),
+                            np.arange(-16, 17) * ulp])
+    moved = on_facets[:, None, :] + moves[None, :, None] * facet_dirs[
+        :, None, :]
+    stretch = r_out / r_in
+    past = np.array([0.5, 0.9, 0.99, 1.01, 2.0]) * stretch * tol
+    beyond = (body.vertices[:, None, :] + past[None, :, None]
+              * (spokes / spoke_len[:, None])[:, None, :])
+    noise = (body.vertices[:, None, :] + rng.integers(-8, 9, (1, 16, l))
+             * ulp)
+    return np.concatenate([*(sh.reshape(-1, l) for sh in shells),
+                           body.vertices, moved.reshape(-1, l),
+                           beyond.reshape(-1, l), noise.reshape(-1, l)])
+
+
+class TestBallPrefilter:
+    @pytest.mark.parametrize("name", sorted(ball_test_bodies()))
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
+    def test_contains_equals_facet_test_bit_for_bit(self, name, tol):
+        body = ball_test_bodies()[name]
+        rng = np.random.default_rng(5)
+        points = adversarial_points(body, tol, rng)
+        lo, hi = body.bounding_box()
+        span = hi - lo
+        uniform = lo - 0.25 * span + 1.5 * span * rng.random(
+            (20000, body.dimension))
+        for pts in (points, uniform):
+            assert np.array_equal(body.contains(pts, tol=tol),
+                                  facet_test(body, pts, tol))
+
+    def test_disk_inner_ball_is_nearly_its_incircle(self):
+        # the saving rests on the inscribed ball: r_in - delta sits within
+        # 1e-8 of the 256-gon's inradius cos(pi/256)
+        body = regular_polygon(256)
+        assert body._center is not None
+        assert math.sqrt(body._inner_sq) == pytest.approx(
+            math.cos(math.pi / 256), abs=1e-8)
+
+    def test_single_points_match_their_batch(self):
+        body = regular_polygon(256)
+        pts = adversarial_points(body, 0.0, np.random.default_rng(8))
+        batch = body.contains(pts, tol=0.0)
+        singles = [bool(body.contains(p[None, :], tol=0.0)[0])
+                   for p in pts[::37]]
+        assert singles == batch[::37].tolist()
+
+    def test_negative_tol_takes_the_facet_test(self):
+        body = unit_square()
+        pts = np.array([[0.5, 0.5], [1e-10, 0.5], [0.5, 1.0 - 1e-10]])
+        assert body.contains(pts, tol=-1e-9).tolist() == [True, False, False]
 
 
 class TestFramedStrip:

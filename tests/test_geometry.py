@@ -276,6 +276,19 @@ class TestClosedFormComponents:
                     ramp19, float(r), float(theta))
                 assert comps.max_value <= 1e-12
 
+    def test_past_sigma4_range_raises_typed_error(self, ramp19,
+                                                   hyperbolic_profile):
+        # sigma^4 ~ e^(4r)/16 leaves double range at r ~ 178: a typed error
+        # naming the radius, not a bare OverflowError
+        for profile in (ramp19, hyperbolic_profile):
+            with pytest.raises(ChartDomainError, match=r"r = 200\b"):
+                geometry.curvature_components_closed_form(profile, 200.0,
+                                                          1.0)
+        with pytest.raises(ChartDomainError, match=r"r = 800\b"):
+            geometry.curvature_components_closed_form(ramp19, 800.0, 1.0)
+        below = geometry.curvature_components_closed_form(ramp19, 178.0, 1.0)
+        assert all(map(math.isfinite, below.as_tuple()))
+
     def test_domain_validation(self, ramp19):
         with pytest.raises(ValueError):
             geometry.curvature_components_closed_form(ramp19, 0.0, 1.0)
@@ -642,9 +655,10 @@ def sequential_sample(chart, region, seed, index):
         u = rng.standard_normal(dim)
         v = rng.standard_normal(dim)
         u = u / math.sqrt(float(u @ g @ u))
+        v_len2 = float(v @ g @ v)
         v = v - float(u @ g @ v) * u
         vnorm2 = float(v @ g @ v)
-        if vnorm2 < 1e-14:
+        if vnorm2 < 1e-14 * v_len2:
             continue
         v = v / math.sqrt(vnorm2)
         k_val = geometry.sectional_curvature(geometry.plane(point, u, v))
@@ -723,7 +737,11 @@ class TestBatchedScanOracle:
     def test_redraw_consumes_the_same_stream(self, ramp19, monkeypatch,
                                              kind):
         # index 3's first v is parallel to its u, so both routes must reject
-        # that attempt and take the second one from index 3's own stream
+        # that attempt and take the second one from index 3's own stream,
+        # on radii up to 2 and on the default box, which reaches r = 45:
+        # there sigma is large and the rounding left over from parallel
+        # vectors is far above 1e-14, so the redraw test has to be relative
+        # to the length of v
         real_stream = geometry.sample_stream
         draws = []
 
@@ -750,18 +768,18 @@ class TestBatchedScanOracle:
 
         monkeypatch.setattr(geometry, "sample_stream", stream)
         chart = scan_chart(ramp19, kind)
-        # radii up to 2, where the metric is O(1): the redraw test
-        # vnorm2 < 1e-14 is absolute, so rounding left over from parallel
-        # vectors passes it where sigma is large
-        region = geometry.default_region(chart, r_max=2.0)
-        ks, coords, errors = geometry._scan_block(chart, region, 1, 0, 6)
-        batched = list(draws)
-        draws.clear()
-        k_ref, coords_ref = sequential_sample(chart, region, 1, 3)
-        assert not errors
-        assert batched == draws == ["random", "normal", "normal"] * 2
-        assert abs(ks[3] - k_ref) <= 1e-13 * max(1.0, abs(k_ref))
-        assert tuple(coords[3]) == coords_ref
-        first = (np.asarray(region.lo) + real_stream(1, 3).random(chart.dim)
-                 * (np.asarray(region.hi) - np.asarray(region.lo)))
-        assert tuple(first) != coords_ref
+        for r_max in (2.0, None):
+            region = geometry.default_region(chart, r_max=r_max)
+            draws.clear()
+            ks, coords, errors = geometry._scan_block(chart, region, 1, 0, 6)
+            batched = list(draws)
+            draws.clear()
+            k_ref, coords_ref = sequential_sample(chart, region, 1, 3)
+            assert not errors
+            assert batched == draws == ["random", "normal", "normal"] * 2
+            assert abs(ks[3] - k_ref) <= 1e-13 * max(1.0, abs(k_ref))
+            assert tuple(coords[3]) == coords_ref
+            first = (np.asarray(region.lo)
+                     + real_stream(1, 3).random(chart.dim)
+                     * (np.asarray(region.hi) - np.asarray(region.lo)))
+            assert tuple(first) != coords_ref
