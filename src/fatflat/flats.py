@@ -48,6 +48,7 @@ _ORTHOGONALITY_TOL = 1e-10
 _FIXED_SPACE_TOL = 1e-9
 _MEMBERSHIP_TOL = 1e-12
 _ROW_CHUNK = 512
+_COL_CHUNK = 2048
 
 
 class DegenerateBodyError(ValueError):
@@ -103,11 +104,12 @@ def hausdorff_distance(first: PointCloud, second: PointCloud) -> float:
     from X to Y is the maximum over X of the distance to the nearest point
     of Y.  Raises ``ValueError`` when the ambient dimensions differ.
 
-    Both directions come from one pass over the squared distances, a block
-    of rows of ``first`` at a time: the row minima give the forward
-    direction and a running column minimum the backward one.  The squares
-    of x - y and y - x are equal bit for bit, so this is the same number
-    two directed passes would give.
+    Both directions come from one pass over the squared distances, in
+    blocks of rows of ``first`` and columns of ``second``, so memory stays
+    bounded whatever the cloud sizes: running row minima give the forward
+    direction and running column minima the backward one.  Every min and
+    max is exact and the squares of x - y and y - x are equal bit for bit,
+    so this is the same number two directed passes would give.
     """
     if first.dimension != second.dimension:
         raise ValueError(
@@ -118,10 +120,14 @@ def hausdorff_distance(first: PointCloud, second: PointCloud) -> float:
     nearest_source = np.full(target.shape[0], np.inf)
     for start in range(0, source.shape[0], _ROW_CHUNK):
         block = source[start : start + _ROW_CHUNK]
-        diff = block[:, None, :] - target[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        forward = max(forward, float(sq.min(axis=1).max()))
-        np.minimum(nearest_source, sq.min(axis=0), out=nearest_source)
+        nearest_target = np.full(block.shape[0], np.inf)
+        for col in range(0, target.shape[0], _COL_CHUNK):
+            diff = block[:, None, :] - target[None, col : col + _COL_CHUNK, :]
+            sq = np.einsum("ijk,ijk->ij", diff, diff)
+            np.minimum(nearest_target, sq.min(axis=1), out=nearest_target)
+            columns = nearest_source[col : col + _COL_CHUNK]
+            np.minimum(columns, sq.min(axis=0), out=columns)
+        forward = max(forward, float(nearest_target.max()))
     return math.sqrt(max(forward, float(nearest_source.max())))
 
 

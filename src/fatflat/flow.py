@@ -16,6 +16,9 @@ form from one radial jet per stage: the profile's four principal ratios
 times Gram matrices of the frame's adapted components (see
 :func:`fatflat.geometry.curvature_numerator`).
 
+Every metric inner product g(a, b) is the dot product of the adapted parts
+of a and b (see :func:`fatflat.geometry.adapted_components_raw`).
+
 Chart policy: the Cartesian chart is regular across the axis and is the
 right place to integrate whenever an orbit may approach radius zero; the
 diagonal charts are cheaper and better conditioned at large radius.  The
@@ -46,7 +49,6 @@ from .geometry import (
     curvature_numerator,
     polar_to_cartesian,
 )
-from .profiles import WarpingProfile
 
 __all__ = [
     "PhaseState",
@@ -148,14 +150,12 @@ class GeodesicPath:
         return self.chart.point(self.positions[index])
 
     def radii(self) -> np.ndarray:
-        if self.chart.kind == CARTESIAN:
-            d = self.chart.block_dim
-            return np.linalg.norm(self.positions[:, :d], axis=1)
-        return self.positions[:, 0].copy()
+        return self.chart.radius_of(self.positions)
 
     def energies(self) -> np.ndarray:
         """g(v, v) at every recorded sample (constant along true geodesics)."""
-        return _energy_series(self.chart, self.positions, self.velocities)
+        return _gram(self.chart, self.positions,
+                     self.velocities[:, None])[:, 0, 0]
 
 
 @dataclass
@@ -181,11 +181,22 @@ class RiccatiResult:
 # metric evaluation helpers
 
 
+def _gram(chart: MetricChart, positions, vectors) -> np.ndarray:
+    """Gram matrices g(v_i, v_j) of the stacks ``vectors`` (N, m, dim) at
+    ``positions`` (N, dim): products of the vectors' adapted parts, each a
+    (warp * rate) product squared only afterwards, so that a large warp
+    factor times a small rate stays an ordinary number."""
+    positions = np.asarray(positions, dtype=float)
+    sg, _, _, tu, _, _ = chart.profile.sigma_tau_many(
+        chart.radius_of(positions))
+    ar, a_s, az = adapted_components_raw(chart, positions, vectors, sg, tu)
+    a = np.concatenate([ar[..., None], a_s, az[..., None]], axis=-1)
+    return a @ a.mT
+
+
 def kinetic_energy(chart: MetricChart, position, velocity) -> float:
     """g(v, v) at a single phase-space point."""
-    pos = np.asarray(position, dtype=float)[None, :]
-    vel = np.asarray(velocity, dtype=float)[None, :]
-    return float(_energy_series(chart, pos, vel)[0])
+    return float(_gram(chart, [position], [[velocity]])[0, 0, 0])
 
 
 def normalize_velocity(chart: MetricChart, position, velocity) -> np.ndarray:
@@ -195,50 +206,6 @@ def normalize_velocity(chart: MetricChart, position, velocity) -> np.ndarray:
     if e <= 0.0:
         raise ValueError("cannot normalize a zero velocity")
     return vel / math.sqrt(e)
-
-
-def _warp_factors(profile: WarpingProfile, radii: np.ndarray):
-    sg, _, _, tu, _, _ = profile.sigma_tau_many(radii)
-    return sg, tu
-
-
-def _energy_series(chart: MetricChart, positions: np.ndarray,
-                   velocities: np.ndarray) -> np.ndarray:
-    """Vectorized g(v, v) along a sample array."""
-    profile = chart.profile
-    if chart.kind == CARTESIAN:
-        d = chart.block_dim
-        x = positions[:, :d]
-        vb = velocities[:, :d]
-        vz = velocities[:, d]
-        r = np.linalg.norm(x, axis=1)
-        sg, tu = _warp_factors(profile, r)
-        # A q + B s^2 == A (q - (s/r)^2) + (s/r)^2 because A + B r^2 = 1;
-        # the right-hand side stays accurate at radii where B ~ -A/r^2.
-        safe = np.where(r > 0.0, r, 1.0)
-        ratio = np.where(r > 0.0, sg / safe, 1.0)
-        s_over_r = np.einsum("ij,ij->i", x, vb) / safe
-        s_over_r = np.where(r > 0.0, s_over_r, 0.0)
-        q = np.einsum("ij,ij->i", vb, vb)
-        perp = np.maximum(q - s_over_r ** 2, 0.0)
-        # grouped as (warp * rate)^2 so the warp factor alone never overflows
-        return (ratio * np.sqrt(perp)) ** 2 + s_over_r ** 2 + (tu * vz) ** 2
-    r = positions[:, 0]
-    sg, tu = _warp_factors(profile, r)
-    if chart.kind == FOUR_D:
-        theta = positions[:, 1]
-        ang = velocities[:, 1] ** 2 + (np.sin(theta) * velocities[:, 2]) ** 2
-        return (velocities[:, 0] ** 2 + (sg * np.sqrt(ang)) ** 2
-                + (tu * velocities[:, 3]) ** 2)
-    d = chart.block_dim
-    ang = np.zeros(len(positions))
-    scale = np.ones(len(positions))
-    for i in range(d - 1):
-        ang += scale * velocities[:, 1 + i] ** 2
-        if i < d - 2:
-            scale = scale * np.sin(positions[:, 1 + i]) ** 2
-    return (velocities[:, 0] ** 2 + (sg * np.sqrt(ang)) ** 2
-            + (tu * velocities[:, d]) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +237,7 @@ def _acceleration(chart: MetricChart) -> Tuple[Callable, Callable]:
 
         def jet(pos):
             x = pos[:d]
+            # plain-float radius, not radius_of: this runs at every RK4 stage
             return axis_coefficients(profile, math.sqrt(float(x @ x)))
 
         def form(coeffs, pos, vel):
@@ -460,24 +428,6 @@ def preferred_kind(radius: float) -> str:
 # parallel transport
 
 
-def _inner(chart: MetricChart, position: np.ndarray, a: np.ndarray,
-           b: np.ndarray) -> float:
-    """g(a, b) by polarization of :func:`kinetic_energy`."""
-    return 0.25 * (kinetic_energy(chart, position, a + b)
-                   - kinetic_energy(chart, position, a - b))
-
-
-def _gram(chart: MetricChart, position: np.ndarray,
-          vectors: np.ndarray) -> np.ndarray:
-    m = len(vectors)
-    g = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            g[i, j] = g[j, i] = _inner(chart, position, vectors[i],
-                                       vectors[j])
-    return g
-
-
 def parallel_transport(path: GeodesicPath, frame: Sequence[np.ndarray],
                        step: Optional[float] = None) -> TransportResult:
     """Parallel-transport ``frame`` (based at the path start) to its end.
@@ -501,7 +451,7 @@ def parallel_transport(path: GeodesicPath, frame: Sequence[np.ndarray],
     w0 = np.array([np.asarray(w, dtype=float) for w in frame])
     if w0.ndim != 2 or w0.shape[1] != chart.dim:
         raise ValueError("frame must be a list of tangent vectors")
-    gram0 = _gram(chart, state.position, w0)
+    gram0 = _gram(chart, [state.position], [w0])[0]
 
     def rhs(y):
         pos, vel, w = y
@@ -511,7 +461,7 @@ def parallel_transport(path: GeodesicPath, frame: Sequence[np.ndarray],
     pos, vel, w = _rk4(rhs, [state.position, state.velocity, w0], n_steps, h,
                        lambda i, y: guard(i, y[0], y[1]), lambda i, y: None)
     guard(n_steps, pos, vel)
-    defect = float(np.max(np.abs(_gram(chart, pos, w) - gram0)))
+    defect = float(np.max(np.abs(_gram(chart, [pos], [w])[0] - gram0)))
     return TransportResult(w, PhaseState(pos, vel), defect)
 
 
@@ -521,18 +471,18 @@ def parallel_transport(path: GeodesicPath, frame: Sequence[np.ndarray],
 
 def _normal_frame(chart: MetricChart, position: np.ndarray,
                   velocity: np.ndarray) -> np.ndarray:
-    """Metric-orthonormal basis of the normal space of ``velocity``."""
+    """Metric-orthonormal basis of the normal space of ``velocity``, by
+    Gram-Schmidt in chart coordinates against the metric's matrix."""
     dim = chart.dim
-    vnorm = _inner(chart, position, velocity, velocity)
+    g = _gram(chart, [position], [np.eye(dim)])[0]
+    vnorm = float(velocity @ g @ velocity)
     if vnorm <= 0.0:
         raise ValueError("velocity must be nonzero")
     basis = [velocity / math.sqrt(vnorm)]
-    for k in range(dim):
-        cand = np.zeros(dim)
-        cand[k] = 1.0
+    for cand in np.eye(dim):
         for b in basis:
-            cand = cand - _inner(chart, position, cand, b) * b
-        nrm = _inner(chart, position, cand, cand)
+            cand = cand - float(cand @ g @ b) * b
+        nrm = float(cand @ g @ cand)
         if nrm > 1e-12:
             basis.append(cand / math.sqrt(nrm))
         if len(basis) == dim:

@@ -89,11 +89,16 @@ class MetricChart:
         """Dimension of the part transverse to the z-axis."""
         return 3 if self.kind == FOUR_D else 2 * self.n
 
-    def radius_of(self, coords: np.ndarray) -> float:
-        """Distance from the axis encoded by the coordinates."""
+    def radius_of(self, coords: np.ndarray) -> float | np.ndarray:
+        """Distance from the axis encoded by the coordinates: a float for
+        one point, a new array over the leading axes of a batch."""
+        coords = np.asarray(coords, dtype=float)
         if self.kind == CARTESIAN:
-            return float(np.linalg.norm(coords[: self.block_dim]))
-        return float(coords[0])
+            x = coords[..., : self.block_dim]
+            r = np.sqrt(np.vecdot(x, x))
+        else:
+            r = coords[..., 0].copy()
+        return float(r) if r.ndim == 0 else r
 
     def contains(self, coords) -> bool:
         coords = np.asarray(coords, dtype=float)
@@ -202,8 +207,21 @@ def axis_coefficient_jets(profile: WarpingProfile, r: float):
 
     These nine functions determine the Cartesian metric and its first and
     second coordinate derivatives; all are smooth even functions of r and
-    are evaluated in cancellation-free form.
+    are evaluated in cancellation-free form.  Where one overflows (from
+    r ~ 351.9 on the hyperbolic piece) raises :class:`ChartDomainError`.
     """
+    try:
+        jets = _axis_coefficient_jets(profile, r)
+        if all(map(math.isfinite, jets)):
+            return jets
+    except OverflowError:
+        pass
+    raise ChartDomainError(
+        f"Cartesian metric coefficients overflow at r = {r:.17g}: the chart "
+        "is exact only where all of them are finite")
+
+
+def _axis_coefficient_jets(profile: WarpingProfile, r: float):
     p, p1, p2 = profile.rho_jet(r)
     if p1 == 0.0 and p2 == 0.0 and p in (0.0, 1.0):
         return _FLAT_COEFFS if p == 0.0 else _axis_coeffs_hyperbolic(r)
@@ -321,7 +339,7 @@ def _cartesian_metric_jets(chart: MetricChart, coords: np.ndarray,
                            order: int):
     dim, d = chart.dim, chart.block_dim
     x = coords[:d]
-    r = float(np.linalg.norm(x))
+    r = chart.radius_of(coords)
     (a_val, b_val, apr, bpr, tau2, tpr,
      apr2, bpr2, tpr2) = axis_coefficient_jets(chart.profile, r)
     g = np.zeros((dim, dim))
@@ -369,7 +387,7 @@ def _metric_inverse_raw(chart: MetricChart, coords: np.ndarray,
     if chart.kind == CARTESIAN:
         d = chart.block_dim
         x = coords[:d]
-        r = float(np.linalg.norm(x))
+        r = chart.radius_of(coords)
         a_val, b_val, _, _, tau2, _ = axis_coefficients(chart.profile, r)
         ginv = np.zeros((chart.dim, chart.dim))
         # (A I + B x x^T)^-1 = (I - B x x^T)/A since A + B r^2 = 1
@@ -541,23 +559,12 @@ def _adapted_vectors(chart: MetricChart, coords: np.ndarray,
     points; finite marks the points whose metric scales, and the squared
     lengths of whose vectors, are finite.
     """
-    d = chart.block_dim
-    if chart.kind == CARTESIAN:
-        radii = np.sqrt(np.vecdot(coords[:, :d], coords[:, :d]))
-    else:
-        radii = coords[:, 0]
+    radii = chart.radius_of(coords)
     jets = np.array([_scales_and_ratios(chart.profile, r)
                      for r in radii.tolist()])
     sigma, tau, ratios = jets[:, 0], jets[:, 1], jets[:, 2:]
-    axis = radii < R_MIN
-    if chart.kind == CARTESIAN and axis.any():
-        # the metric is isotropic on the axis: any unit radial direction
-        # with sigma/r = 1 gives its inner products, and every plane has
-        # the curvature k1
-        coords = coords.copy()
-        coords[axis, :d] = np.eye(d)[0]
-        sigma = np.where(axis, 1.0, sigma)
-        ratios[axis] = ratios[axis, :1]
+    if chart.kind == CARTESIAN:  # every plane near the axis reads k1
+        ratios[radii < R_MIN] = ratios[radii < R_MIN, :1]
     with np.errstate(over="ignore", invalid="ignore"):
         ar, a_s, az = adapted_components_raw(chart, coords, vecs, sigma, tau)
         a = np.concatenate([ar[..., None], a_s, az[..., None]], axis=-1)
@@ -680,20 +687,23 @@ def adapted_components_raw(chart: MetricChart, coords: np.ndarray,
     in an orthonormal frame adapted to the warped splitting, given sigma and
     tau at the point; only inner products of sphere parts (rows of a_s) are
     frame-independent.  Leading axes of coords, sigma and tau, and of vecs
-    before its row axis, index a batch of points."""
+    before its row axis, index a batch of points.  This is the one metric
+    inner product: g(a, b) is the dot product of the parts of a and b."""
     vecs = np.asarray(vecs, dtype=float)
     sigma = np.asarray(sigma)[..., None]
     tau = np.asarray(tau)[..., None]
     if chart.kind == CARTESIAN:
         d = chart.block_dim
-        x = coords[..., :d]
-        r = np.sqrt(np.vecdot(x, x))[..., None]
-        if np.any(r <= 0.0):
-            raise ChartDomainError("adapted frame undefined on the axis")
-        xhat = x / r
+        r = np.asarray(chart.radius_of(coords))[..., None]
+        # the metric is isotropic within R_MIN of the axis: there any unit
+        # radial direction with sigma/r = 1 gives its inner products
+        axis = r < R_MIN
+        r = np.where(axis, 1.0, r)
+        xhat = np.where(axis, np.eye(d)[0], coords[..., :d] / r)
+        ratio = np.where(axis, 1.0, sigma / r)
         vr = (vecs[..., :d] @ xhat[..., None])[..., 0]
         perp = vecs[..., :d] - vr[..., None] * xhat[..., None, :]
-        return vr, (sigma / r)[..., None] * perp, vecs[..., d] * tau
+        return vr, ratio[..., None] * perp, vecs[..., d] * tau
     if chart.kind == FOUR_D:
         st = np.sin(coords[..., 1:2])
         a_s = np.stack([vecs[..., 1] * sigma, vecs[..., 2] * sigma * st],
@@ -793,7 +803,7 @@ def cartesian_to_polar(point: ChartPoint, velocity: np.ndarray | None = None):
     target = MetricChart.polar(chart.profile, chart.n)
     d = chart.block_dim
     x = point.coords[:d]
-    r = float(np.linalg.norm(x))
+    r = point.radius
     if r < R_MIN:
         raise ChartDomainError("point too close to the axis for polar")
     angles = []

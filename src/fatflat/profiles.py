@@ -71,15 +71,17 @@ def bump_f_many(spec: BumpSpec, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump_f_prime_many(spec: BumpSpec, xs: np.ndarray) -> np.ndarray:
-    k = spec.k
-    xs = np.asarray(xs, dtype=float)
+def _bump_jet_many(k: float, xs: np.ndarray):
+    """Array twin of :func:`_bump_jet`: (values, derivatives) from one exp."""
     u = k * k - xs * xs
     inside = u > 0.0
-    out = np.zeros_like(xs)
+    f = np.zeros_like(xs)
+    df = np.zeros_like(xs)
     ui = u[inside]
-    out[inside] = np.exp(-k * k / ui) * (-2.0 * k * k * xs[inside] / (ui * ui))
-    return out
+    fi = np.exp(-k * k / ui)
+    f[inside] = fi
+    df[inside] = fi * (-2.0 * k * k * xs[inside] / (ui * ui))
+    return f, df
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> float:
@@ -226,9 +228,8 @@ def rho_many(spec: BumpSpec, rs: np.ndarray):
     total = _bump_table(k)[1][-1]
     val = _F_fast_many(k, y) / total
     val[y >= k] = 1.0
-    d1 = bump_f_many(spec, y) / total
-    d2 = bump_f_prime_many(spec, y) / total
-    return val, d1, d2
+    f, df = _bump_jet_many(k, y)
+    return val, f / total, df / total
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,16 @@ class TestGeodesicCommand:
         lines = out.read_text().splitlines()
         assert 2 < len(lines) < 60
 
+    def test_cartesian_past_its_range_returns_two(self, capsys):
+        code = run(["geodesic", "--variant", "hyperbolic", "--chart",
+                    "cartesian", "--position", "18,24,0.2",
+                    "--velocity", "0.3,-0.2,0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow at r = " in err
+        assert "OverflowError" not in err
+
     def test_unknown_chart_rejected(self):
         assert run(["geodesic", "--chart", "spherical"]) == 2
 

@@ -1,6 +1,7 @@
 """Tests for point-cloud distance, union volumes, and strip thickening."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,13 +131,28 @@ class TestHausdorffDistance:
             hausdorff_distance(PointCloud([[0.0, 0.0]]),
                                PointCloud([[0.0, 0.0, 0.0]]))
 
+    def test_memory_bounded_in_both_directions(self):
+        # one 512-row block against all 20,000 columns took 353 MB
+        rng = np.random.default_rng(9)
+        small = PointCloud(rng.normal(size=(600, 3)))
+        large = PointCloud(rng.normal(size=(20_000, 3)))
+        tracemalloc.start()
+        try:
+            hausdorff_distance(small, large)
+            hausdorff_distance(large, small)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_one_pass_equals_two_directed_passes_exactly(self, dim):
-        # sizes on both sides of _ROW_CHUNK (512), and grid clouds with
-        # ties and duplicates
+        # sizes on both sides of _ROW_CHUNK (512), a cloud of several
+        # _COL_CHUNK (2048) column blocks, and grid clouds with ties and
+        # duplicates
         rng = np.random.default_rng(100 + dim)
         sizes = [(1, 1), (1, 600), (600, 1), (7, 13), (511, 3), (512, 40),
-                 (513, 513), (600, 257), (90, 600)]
+                 (513, 513), (600, 257), (90, 600), (700, 4500)]
         for n_first, n_second in sizes:
             for grid in (False, True):
                 if grid:

@@ -219,6 +219,76 @@ class TestGeodesics:
         with pytest.raises(ValueError):
             flow.integrate_geodesic(polar_19, state, 1.0, step=0.0)
 
+    def test_cartesian_overflow_is_a_typed_error(self, hyperbolic_profile):
+        # this orbit's RK4 stages reach r ~ 1e9, far past the radius where
+        # the Cartesian coefficients overflow
+        chart = MetricChart.cartesian(hyperbolic_profile, 1)
+        state = unit_state(chart, [18.0, 24.0, 0.2], [0.3, -0.2, 0.5])
+        with pytest.raises(geometry.ChartDomainError, match=r"at r = \d"):
+            flow.integrate_geodesic(chart, state, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# metric inner products
+# ---------------------------------------------------------------------------
+
+def metric_point(chart, r, rng):
+    """Coordinates at radius r with random angles and height."""
+    z = rng.uniform(-1.0, 1.0)
+    if chart.kind == geometry.CARTESIAN:
+        direction = rng.standard_normal(chart.block_dim)
+        return np.array([*(r / np.linalg.norm(direction) * direction), z])
+    if chart.kind == geometry.FOUR_D:
+        return np.array([r, rng.uniform(0.1, math.pi - 0.1),
+                         rng.uniform(0.0, 2 * math.pi), z])
+    inner = rng.uniform(0.1, math.pi - 0.1, chart.block_dim - 2)
+    return np.array([r, *inner, rng.uniform(0.0, 2 * math.pi), z])
+
+
+class TestMetricInnerProduct:
+    @pytest.mark.parametrize("variant", ["flat_profile", "hyperbolic_profile",
+                                         "ramp19"])
+    def test_gram_matches_metric_tensor(self, request, variant):
+        # the adapted-parts route against v_i . g . v_j, entry by entry on
+        # the scale sqrt(g(v_i, v_i) g(v_j, v_j)) of each entry
+        profile = request.getfixturevalue(variant)
+        rng = np.random.default_rng(31)
+        charts = [MetricChart.polar(profile, 1), MetricChart.polar(profile, 2),
+                  MetricChart.cartesian(profile, 1),
+                  MetricChart.cartesian(profile, 2),
+                  MetricChart.four_d_model(profile)]
+        for chart in charts:
+            radii = np.exp(rng.uniform(math.log(1e-3), math.log(40.0), 40))
+            points = np.array([metric_point(chart, r, rng) for r in radii])
+            vecs = rng.standard_normal((len(points), 4, chart.dim))
+            gram = flow._gram(chart, points, vecs)
+            for x, v, got in zip(points, vecs, gram):
+                want = v @ geometry.metric_tensor(chart.point(x)) @ v.T
+                scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+                assert_close(got, want, abs_tol=1e-13 * np.maximum(1.0, scale))
+
+    def test_normal_frame_is_metric_orthonormal(self, polar_19):
+        # ramp starts with sigma^2 up to ~1e25, where polarization of the
+        # energy left frames orthonormal only to ~5e-3
+        for state in random_safe_orbits(polar_19, np.random.default_rng(0),
+                                        200):
+            pos, vel = state.position, state.velocity
+            frame = flow._normal_frame(polar_19, pos, vel)
+            g = geometry.metric_tensor(polar_19.point(pos))
+            assert_close(frame @ g @ frame.T, np.eye(2), abs_tol=1e-11)
+            assert_close(frame @ g @ vel, np.zeros(2), abs_tol=1e-11)
+
+    def test_energy_of_tiny_rates_at_large_radius(self, hyperbolic_profile):
+        # sigma ~ 1e173 times rates 1e-160: each (warp * rate) product is
+        # ordinary, while a squared rate alone would be subnormal
+        chart = MetricChart.polar(hyperbolic_profile, 1)
+        rate = 1e-160
+        energy = flow.kinetic_energy(chart, [400.0, 1.0, 0.0],
+                                     [0.0, rate, rate])
+        exact = ((math.sinh(400.0) * rate) ** 2
+                 + (math.cosh(400.0) * rate) ** 2)
+        assert energy == pytest.approx(exact, rel=1e-15, abs=0.0)
+
 
 # ---------------------------------------------------------------------------
 # parallel transport

@@ -119,6 +119,41 @@ class TestMetricTensor:
         g = geometry.metric_tensor(chart.point([1e-5, 0.0, 0.0]))
         assert g[1, 1] == pytest.approx(1.0 + 1e-10 / 3.0, abs=1e-14)
 
+    @pytest.mark.parametrize("variant", ["flat_profile", "hyperbolic_profile",
+                                         "ramp19"])
+    def test_cartesian_adapted_parts_on_axis(self, request, variant):
+        # within R_MIN of the axis the adapted frame takes x-hat = e_0 and
+        # sigma/r = 1; the dot products of the parts are the metric there
+        profile = request.getfixturevalue(variant)
+        rng = np.random.default_rng(21)
+        for n in (1, 2):
+            chart = MetricChart.cartesian(profile, n)
+            for r in (0.0, 1e-12, 3e-9, 0.99e-8):
+                direction = rng.standard_normal(chart.block_dim)
+                x = np.array([*(r / np.linalg.norm(direction) * direction),
+                              0.3])
+                vecs = rng.standard_normal((3, chart.dim))
+                st = profile.sigma_tau(chart.radius_of(x))
+                ar, a_s, az = geometry.adapted_components_raw(
+                    chart, x, vecs, st[0], st[3])
+                a = np.concatenate([ar[:, None], a_s, az[:, None]], axis=1)
+                g = geometry.metric_tensor(chart.point(x))
+                assert_close(a @ a.T, vecs @ g @ vecs.T, abs_tol=1e-14)
+
+    def test_cartesian_coefficients_declare_their_range(self,
+                                                        hyperbolic_profile):
+        # the nine axis coefficients are finite up to r ~ 351.9; beyond,
+        # a typed error naming the radius instead of inf, NaN or a bare
+        # OverflowError (sinh leaves double range from r ~ 355.5)
+        jets = geometry.axis_coefficient_jets(hyperbolic_profile, 300.0)
+        assert all(map(math.isfinite, jets))
+        for r in (354.0, 400.0):
+            with pytest.raises(ChartDomainError, match=rf"r = {r:.0f}\b"):
+                geometry.axis_coefficient_jets(hyperbolic_profile, r)
+        chart = MetricChart.cartesian(hyperbolic_profile, 1)
+        with pytest.raises(ChartDomainError, match=r"r = 400\b"):
+            geometry.metric_tensor(chart.point([240.0, 320.0, 0.0]))
+
     def test_polar_rejects_axis(self, ramp19):
         chart = MetricChart.polar(ramp19, 1)
         with pytest.raises(ChartDomainError):
@@ -422,8 +457,8 @@ class TestSectionalCurvature:
     @pytest.mark.parametrize("variant,expected", [("ramp19", 0.0),
                                                   ("hyperbolic_profile", -1.0)])
     def test_cartesian_axis_is_isotropic(self, request, variant, expected):
-        # within R_MIN of the axis the adapted frame is undefined; every
-        # plane there reads the common principal ratio
+        # within R_MIN of the axis every plane reads the common principal
+        # ratio
         chart = MetricChart.cartesian(request.getfixturevalue(variant), 2)
         rng = np.random.default_rng(8)
         for x0 in (0.0, 3e-9):

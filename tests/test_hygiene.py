@@ -1,0 +1,44 @@
+"""Source hygiene checks that need only the standard library."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fatflat"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; names listed in ``__all__``
+    count as read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read)
+
+
+def test_checker_flags_an_unused_import():
+    source = ("import math\nimport os\nfrom typing import List, Tuple\n"
+              "__all__ = ['Tuple']\nx: List[int] = [math.pi]\n")
+    assert unused_imports(source) == ["os (line 2)"]
+
+
+def test_no_unused_imports_in_src():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in modules}
+    assert not {name: names for name, names in found.items() if names}
