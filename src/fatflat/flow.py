@@ -8,13 +8,13 @@ a pure function of (chart, initial state, duration, step).
 
 Geodesics, parallel frames and the comparison operator all run through one
 RK4 driver over a list of state components.  Each stage evaluates the
-chart's acceleration jet (the profile jet, the axis coefficients or the
-Christoffel symbols) once at its position; the geodesic acceleration and
-the transport rate of every frame vector are quadratic forms built from
-that jet.  The comparison operator's curvature term M is built in closed
-form from one radial jet per stage: the profile's four principal ratios
-times Gram matrices of the frame's adapted components (see
-:func:`fatflat.geometry.curvature_numerator`).
+chart's connection jet (the profile jet, the axis coefficients or the
+Christoffel symbols) once at its position; one bilinear form per chart kind
+gives the acceleration -Gamma(v, v) and every frame vector's transport rate
+-Gamma(v, w), with no polarized quadratic form.  The comparison operator's
+curvature term M is built in closed form from one radial jet per stage: the
+profile's four principal ratios times Gram matrices of the frame's adapted
+components (see :func:`fatflat.geometry.curvature_numerator`).
 
 Every metric inner product g(a, b) is the dot product of the adapted parts
 of a and b (see :func:`fatflat.geometry.adapted_components_raw`).
@@ -209,28 +209,19 @@ def normalize_velocity(chart: MetricChart, position, velocity) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# acceleration fields
+# connection forms
 #
-# A chart's geodesic acceleration is form(jet(pos), pos, vel): the jet holds
-# everything that depends on the position alone, and the form is quadratic
-# in the velocity.  An RK4 stage evaluates the jet once and reuses it for the
-# acceleration and for every polarized frame rate.
+# rates(jet(pos), pos, v, w) = -Gamma(v, w) is bilinear, for one vector w
+# or for every row of a stack W; the jet holds what depends on the position
+# alone.  The geodesic acceleration is rates(v, v), each term grouped so
+# that it rounds as the quadratic form does (at w = v, the sum
+# -(l*vr)*wt - (l*wr)*vt is -2*l*vr*vt bit for bit).  The diagonal chart's
+# form is the warped-product connection (O'Neill, Semi-Riemannian Geometry,
+# Prop. 7.35).
 
 
-def _form_polar3(jet, pos, vel):
-    """Acceleration on the 3-coordinate diagonal chart from the profile jet,
-    for plain-float and array velocities alike."""
-    sg, dsg, _, tu, dtu, _ = jet
-    vr, vt, vz = vel
-    # grouped as (warp * rate) products: the factors overflow/underflow
-    # separately at large radius while the products stay ordinary
-    return ((sg * vt) * (dsg * vt) + (tu * vz) * (dtu * vz),
-            -2.0 * (dsg / sg) * vr * vt,
-            -2.0 * (dtu / tu) * vr * vz)
-
-
-def _acceleration(chart: MetricChart) -> Tuple[Callable, Callable]:
-    """(jet, form) with geodesic acceleration form(jet(pos), pos, vel)."""
+def _connection(chart: MetricChart) -> Tuple[Callable, Callable]:
+    """(jet, rates) with transport rates rates(jet(pos), pos, v, w)."""
     profile = chart.profile
     if chart.kind == CARTESIAN:
         d = chart.block_dim
@@ -240,38 +231,44 @@ def _acceleration(chart: MetricChart) -> Tuple[Callable, Callable]:
             # plain-float radius, not radius_of: this runs at every RK4 stage
             return axis_coefficients(profile, math.sqrt(float(x @ x)))
 
-        def form(coeffs, pos, vel):
+        def rates(coeffs, pos, v, w):
             a, b, apr, bpr, tau2, tpr = coeffs
             x = pos[:d]
-            vb = vel[:d]
-            vz = vel[d]
-            s = float(x @ vb)
-            q = float(vb @ vb)
-            c = bpr * s * s + 2.0 * b * q - apr * q - tpr * vz * vz
-            w = (2.0 * apr * s) * vb + c * x
-            xw = float(x @ w)
-            out = np.empty(d + 1)
-            out[:d] = -(w - (b * xw) * x) / (2.0 * a)
-            out[d] = -tpr * s * vz / tau2
+            vb, vz = v[:d], v[d]
+            wb, wz = w[..., :d], w[..., d]
+            # np.vecdot rounds each row as np.dot rounds one vector, so row
+            # 0 of a stack is the single-vector call bit for bit
+            dot, col = ((np.dot, lambda s: s) if w.ndim == 1
+                        else (np.vecdot, lambda s: s[:, None]))
+            sv, sw = dot(vb, x), dot(wb, x)
+            q = dot(wb, vb)
+            c = bpr * sv * sw + 2.0 * b * q - apr * q - tpr * vz * wz
+            u = (apr * sv) * wb + col(apr * sw) * vb + col(c) * x
+            xu = dot(u, x)
+            out = np.empty(w.shape)
+            out[..., :d] = -(u - col(b * xu) * x) / (2.0 * a)
+            out[..., d] = -((tpr * sv) * wz + (tpr * sw) * vz) / (2.0 * tau2)
             return out
 
-        return jet, form
+        return jet, rates
     if chart.kind == POLAR and chart.n == 1:
-        return (lambda pos: profile.sigma_tau(pos[0]),
-                lambda st, pos, vel: np.array(_form_polar3(st, pos, vel)))
+        def rates(st, pos, v, w):  # plain floats or arrays alike
+            sg, dsg, _, tu, dtu, _ = st
+            vr, vt, vz = v
+            stack = isinstance(w, np.ndarray)
+            wr, wt, wz = w.T if stack else w
+            ls, lt = dsg / sg, dtu / tu
+            # grouped as (warp * rate) products: the factors overflow/underflow
+            # separately at large radius while the products stay ordinary
+            out = ((sg * vt) * (dsg * wt) + (tu * vz) * (dtu * wz),
+                   -(ls * vr) * wt - (ls * wr) * vt,
+                   -(lt * vr) * wz - (lt * wr) * vz)
+            return np.array(out).T if stack else out
+
+        return lambda pos: profile.sigma_tau(pos[0]), rates
     return (lambda pos: christoffel(chart.point(pos)),
-            lambda gamma, pos, vel: -np.einsum("ijk,j,k->i", gamma, vel, vel))
-
-
-def _frame_rates(form: Callable, jet, pos, vel, w_rows: np.ndarray
-                 ) -> np.ndarray:
-    """Transport rates -Gamma(v, w) of each row w, from the polarization
-    identity G(v, w) = (G(v+w, v+w) - G(v-w, v-w)) / 4 of the quadratic
-    acceleration form at one jet."""
-    out = np.empty_like(w_rows)
-    for i, w in enumerate(w_rows):
-        out[i] = 0.25 * (form(jet, pos, vel + w) - form(jet, pos, vel - w))
-    return out
+            lambda gamma, pos, v, w: -np.einsum("ijk,j,...k->...i",
+                                                gamma, v, w))
 
 
 def _exit_guard(chart: MetricChart, h: float,
@@ -351,7 +348,7 @@ def integrate_geodesic(chart: MetricChart, state: PhaseState, duration: float,
         raise ValueError("record_every must be >= 1")
     chart.point(state.position)  # validates chart membership
     n_steps, h = _step_count(duration, step)
-    jet, form = _acceleration(chart)
+    jet, rates = _connection(chart)
     if chart.kind == POLAR and chart.n == 1:
         # plain floats (r, theta, z, vr, vt, vz): the busiest chart skips
         # the per-stage array traffic
@@ -359,7 +356,7 @@ def integrate_geodesic(chart: MetricChart, state: PhaseState, duration: float,
 
         def rhs(y):
             vel = y[3:]
-            return [*vel, *_form_polar3(jet(y), y, vel)]  # jet reads y[0] = r
+            return [*vel, *rates(jet(y), y, vel, vel)]  # jet reads y[0] = r
 
         def phase(y):
             return y[:3], y[3:]
@@ -368,7 +365,7 @@ def integrate_geodesic(chart: MetricChart, state: PhaseState, duration: float,
 
         def rhs(y):
             pos, vel = y
-            return [vel, form(jet(pos), pos, vel)]
+            return [vel, rates(jet(pos), pos, vel, vel)]
 
         def phase(y):
             return y[0], y[1]
@@ -434,10 +431,10 @@ def parallel_transport(path: GeodesicPath, frame: Sequence[np.ndarray],
 
     The frame rides along the same RK4 stages as the base geodesic, which
     is re-integrated from the path's initial sample at the path's step (or
-    ``step`` when given).  Each stage evaluates the chart's acceleration
-    jet once and builds from it both the geodesic acceleration and each
-    frame vector's transport rate: the acceleration form polarized between
-    the velocity and that vector.
+    ``step`` when given).  Each stage evaluates the chart's connection jet
+    once and makes one call of its bilinear rates form -Gamma(v, .) on the
+    stack of the velocity and the frame: row 0 is the geodesic acceleration
+    and the other rows are the frame vectors' transport rates.
     """
     chart = path.chart
     state = path.state(0)
@@ -445,7 +442,7 @@ def parallel_transport(path: GeodesicPath, frame: Sequence[np.ndarray],
         step = path.step
     chart.point(state.position)
     n_steps, h = _step_count(path.duration, step)
-    jet, form = _acceleration(chart)
+    jet, rates = _connection(chart)
     guard = _exit_guard(chart, h)
 
     w0 = np.array([np.asarray(w, dtype=float) for w in frame])
@@ -455,8 +452,8 @@ def parallel_transport(path: GeodesicPath, frame: Sequence[np.ndarray],
 
     def rhs(y):
         pos, vel, w = y
-        at = jet(pos)
-        return [vel, form(at, pos, vel), _frame_rates(form, at, pos, vel, w)]
+        out = rates(jet(pos), pos, vel, np.vstack([vel, w]))
+        return [vel, out[0], out[1:]]
 
     pos, vel, w = _rk4(rhs, [state.position, state.velocity, w0], n_steps, h,
                        lambda i, y: guard(i, y[0], y[1]), lambda i, y: None)
@@ -527,7 +524,7 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
     if c0 <= 0.0:
         raise ValueError("c0 must be positive")
     n_steps, h = _step_count(duration, step)
-    jet, form = _acceleration(chart)
+    jet, rates = _connection(chart)
     guard = _exit_guard(chart, h)
     profile = chart.profile
 
@@ -535,21 +532,20 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
     m = len(frame)
     u = c0 * np.eye(m)
 
-    def curvature_operator(pos_, vel_, w_rows):
+    def curvature_operator(pos_, vw):
         jet, ratios = profile.jet_ratios(chart.radius_of(pos_))
         if all(k == 0.0 for k in ratios):
             return np.zeros((m, m))
-        ar, a_s, az = adapted_components_raw(
-            chart, pos_, np.vstack([vel_, w_rows]), jet[0], jet[3])
+        ar, a_s, az = adapted_components_raw(chart, pos_, vw, jet[0], jet[3])
         return curvature_numerator(ratios, (ar[1:], a_s[1:], az[1:]),
                                    (ar[0], a_s[0], az[0]))
 
     def rhs(y):
         pos_, vel_, w_rows, u_mat = y
-        at = jet(pos_)
-        return [vel_, form(at, pos_, vel_),
-                _frame_rates(form, at, pos_, vel_, w_rows),
-                -(u_mat @ u_mat) - curvature_operator(pos_, vel_, w_rows)]
+        vw = np.vstack([vel_, w_rows])
+        out = rates(jet(pos_), pos_, vel_, vw)
+        return [vel_, out[0], out[1:],
+                -(u_mat @ u_mat) - curvature_operator(pos_, vw)]
 
     max_eig_allowed = 1.0 / h
     rec_times = [0.0]

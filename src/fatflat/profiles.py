@@ -401,6 +401,8 @@ class WarpingProfile:
 
     def sigma_tau_many(self, rs: np.ndarray):
         rs = np.asarray(rs, dtype=float)
+        if rs.ndim == 0:  # as a batch of one, then 0-d arrays like the input
+            return tuple(c.reshape(()) for c in self.sigma_tau_many(rs[None]))
         if np.any(rs < 0.0):
             raise ValueError("radii must be nonnegative")
         if self.variant == "flat":

@@ -290,6 +290,45 @@ class TestMetricInnerProduct:
         assert energy == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
+class TestConnection:
+    @pytest.mark.parametrize("variant", ["flat_profile", "hyperbolic_profile",
+                                         "ramp19"])
+    def test_rates_match_christoffel_oracle(self, request, variant):
+        # the bilinear rates against -Gamma(v, w) contracted from the
+        # Christoffel symbols, entry by entry on the Cauchy-Schwarz scale
+        # sum |Gamma| |v| |w| of each entry, plus the smallest normal float
+        # for entries that underflow; the acceleration is the w = v case
+        # and must be the stack's row 0 bit for bit
+        profile = request.getfixturevalue(variant)
+        rng = np.random.default_rng(37)
+        charts = [MetricChart.polar(profile, 1), MetricChart.polar(profile, 2),
+                  MetricChart.cartesian(profile, 1),
+                  MetricChart.cartesian(profile, 2),
+                  MetricChart.four_d_model(profile)]
+        for chart in charts:
+            jet, rates = flow._connection(chart)
+            radii = np.exp(rng.uniform(math.log(1e-3), math.log(40.0), 20))
+            for r in radii:
+                pos = metric_point(chart, r, rng)
+                # rows of unlike lengths, as a unit-speed velocity at large
+                # warp against an order-one frame vector
+                v = rng.standard_normal(chart.dim) * 10.0 ** rng.uniform(-4, 4)
+                w = (rng.standard_normal((4, chart.dim))
+                     * 10.0 ** rng.uniform(-4, 4, (4, 1)))
+                gamma = geometry.christoffel(chart.point(pos))
+                want = -np.einsum("ijk,j,...k->...i", gamma, v, w)
+                scale = np.einsum("ijk,j,...k->...i", np.abs(gamma),
+                                  np.abs(v), np.abs(w))
+                at = jet(pos)
+                got = rates(at, pos, v, np.vstack([v, w]))
+                assert_close(got[1:], want,
+                             abs_tol=1e-13 * scale + np.finfo(float).tiny)
+                assert np.array_equal(rates(at, pos, v, v), got[0])
+                if chart.kind == geometry.POLAR and chart.n == 1:
+                    floats = [float(c) for c in v]
+                    assert rates(at, pos, floats, floats) == tuple(got[0])
+
+
 # ---------------------------------------------------------------------------
 # parallel transport
 # ---------------------------------------------------------------------------
@@ -315,36 +354,55 @@ class TestParallelTransport:
         assert_close(result.vectors, frame, abs_tol=1e-8)
         assert result.orthogonality_defect <= 1e-8
 
-    def test_gram_matrix_preserved_on_curved_orbits(self, polar_19):
+    def test_gram_matrix_preserved_on_curved_orbits(self, polar_19, ramp19):
         rng = np.random.default_rng(23)
+        runs = [(polar_19, state, 5.0)
+                for state in random_safe_orbits(polar_19, rng, 3)]
+        # the other chart kinds at r = 12, where the k=19 warp is ~1.7e4
+        other = np.random.default_rng(29)
+        angle = other.uniform(0.0, 2 * math.pi)
+        for chart, position in (
+                (MetricChart.polar(ramp19, 2), [12.0, 1.1, 0.7, 2.0, 0.3]),
+                (MetricChart.cartesian(ramp19, 1),
+                 [12.0 * math.cos(angle), 12.0 * math.sin(angle), 0.3]),
+                (MetricChart.four_d_model(ramp19), [12.0, 1.1, 0.7, 0.3])):
+            velocity = other.standard_normal(chart.dim)
+            runs.append((chart, unit_state(chart, position, velocity), 2.0))
 
-        def gram(position, rows):
-            g = geometry.metric_tensor(polar_19.point(position))
-            return rows @ g @ rows.T
+        for chart, state, duration in runs:
+            def gram(position, rows):
+                if chart.kind == geometry.CARTESIAN:
+                    # the matrix A I + B x x^T has A ~ 2e6 here, and its
+                    # quadratic form cancels to ~u A; the adapted parts
+                    # (checked against it in TestMetricInnerProduct) do not
+                    return flow._gram(chart, [position], [rows])[0]
+                g = geometry.metric_tensor(chart.point(position))
+                return rows @ g @ rows.T
 
-        for state in random_safe_orbits(polar_19, rng, 3):
-            path = flow.integrate_geodesic(polar_19, state, 5.0,
+            def inner(a, b):
+                return float(gram(state.position, np.array([a, b]))[0, 1])
+
+            path = flow.integrate_geodesic(chart, state, duration,
                                            record_every=10 ** 9)
             # orthonormalize a random frame in the metric at the start so
             # inner products are order-one quantities; the metric entries
             # span ~19 orders of magnitude here, so a single elimination
             # pass leaves 1e-6-level residuals -- run the projection twice
-            raw = rng.standard_normal((3, 3))
-            g0 = geometry.metric_tensor(polar_19.point(state.position))
+            dim = chart.dim
             frame = []
-            for row in raw:
+            for row in rng.standard_normal((dim, dim)):
                 for _ in range(2):
                     for prev in frame:
-                        row = row - float(prev @ g0 @ row) * prev
-                frame.append(row / math.sqrt(float(row @ g0 @ row)))
+                        row = row - inner(prev, row) * prev
+                frame.append(row / math.sqrt(inner(row, row)))
             frame = np.array(frame)
 
             result = flow.parallel_transport(path, frame)
             assert result.orthogonality_defect <= 1e-8
-            assert_close(gram(state.position, frame), np.eye(3),
+            assert_close(gram(state.position, frame), np.eye(dim),
                          abs_tol=1e-12)
             end = gram(result.end_state.position, result.vectors)
-            assert_close(end, np.eye(3), abs_tol=1e-8)
+            assert_close(end, np.eye(dim), abs_tol=1e-8)
 
     def test_velocity_transports_to_itself(self, polar_19):
         state = unit_state(polar_19, [7.0, 0.5, 0.0], [0.3, 0.2, 0.6])

@@ -315,6 +315,15 @@ class TestWarpingFunctions:
         one = np.array([ramp19.sigma_tau(float(r)) for r in rs]).T
         assert np.all(np.abs(many - one) <= 4e-15 * np.abs(one))
 
+    @pytest.mark.parametrize("variant", ["flat_profile", "hyperbolic_profile",
+                                         "ramp19"])
+    def test_array_jet_of_a_scalar_radius_is_0d(self, request, variant):
+        profile = request.getfixturevalue(variant)
+        many = profile.sigma_tau_many(20.0)
+        assert all(isinstance(c, np.ndarray) and c.shape == () for c in many)
+        one = np.array(profile.sigma_tau(20.0))
+        assert np.all(np.abs(np.array(many) - one) <= 4e-15 * np.abs(one))
+
     def test_jet_views_agree(self, ramp19):
         for r in (0.0, 0.03, 0.5, 2.0, 19.0, 45.0):
             jet, ratios = ramp19.jet_ratios(r)
