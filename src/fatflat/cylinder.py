@@ -182,16 +182,17 @@ def core_holonomy(cyl: TwistedCylinder, step: float = flow.DEFAULT_STEP
     geodesic over one period, then closes the loop through the deck
     identification: the loop map is (deck differential) composed with the
     inverse transport, which reduces to the twist rotation itself whenever
-    transport along the core is the identity.
+    transport along the core is the identity.  The core is the exact line
+    x = 0, run at unit speed along z.
     """
     chart = cyl.cartesian_chart()
     d = cyl.dim
-    start = PhaseState(np.zeros(d), np.eye(d)[d - 1])
-    path = flow.integrate_geodesic(chart, start, cyl.length, step,
-                                   record_every=10 ** 9)
-    frame = [np.eye(d)[i] for i in range(d - 1)]
-    transported = flow.parallel_transport(path, frame)
-    p_block = np.array([vec[:-1] for vec in transported.vectors]).T
+    ez = np.eye(d)[d - 1]
+    path = flow.GeodesicPath(chart, step, np.array([0.0, cyl.length]),
+                             np.array([0.0 * ez, cyl.length * ez]),
+                             np.array([ez, ez]))
+    transported = flow.parallel_transport(path, np.eye(d)[:d - 1])
+    p_block = transported.vectors[:, :-1].T
     return cyl.rho.matrix() @ np.linalg.inv(p_block)
 
 

@@ -7,14 +7,14 @@ reproducible: the sample grid, and therefore every downstream reduction, is
 a pure function of (chart, initial state, duration, step).
 
 Geodesics, parallel frames and the comparison operator all run through one
-RK4 driver over a list of state components.  Each stage evaluates the
-chart's connection jet (the profile jet, the axis coefficients or the
-Christoffel symbols) once at its position; one bilinear form per chart kind
-gives the acceleration -Gamma(v, v) and every frame vector's transport rate
--Gamma(v, w), with no polarized quadratic form.  The comparison operator's
-curvature term M is built in closed form from one radial jet per stage: the
-profile's four principal ratios times Gram matrices of the frame's adapted
-components (see :func:`fatflat.geometry.curvature_numerator`).
+RK4 driver over one flat state of Python floats (position, velocity, frame
+rows; the comparison operator U rides along as one array).  Each stage
+evaluates the chart's connection jet once; one bilinear form per chart
+kind, called on one vector at a time, gives the acceleration -Gamma(v, v)
+and every frame vector's transport rate -Gamma(v, w).  The comparison
+operator's curvature term M is built in closed form from one radial jet per
+stage: the profile's four principal ratios times Gram matrices of the
+frame's adapted components (see :func:`fatflat.geometry.curvature_numerator`).
 
 Every metric inner product g(a, b) is the dot product of the adapted parts
 of a and b (see :func:`fatflat.geometry.adapted_components_raw`).
@@ -211,64 +211,84 @@ def normalize_velocity(chart: MetricChart, position, velocity) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # connection forms
 #
-# rates(jet(pos), pos, v, w) = -Gamma(v, w) is bilinear, for one vector w
-# or for every row of a stack W; the jet holds what depends on the position
-# alone.  The geodesic acceleration is rates(v, v), each term grouped so
-# that it rounds as the quadratic form does (at w = v, the sum
-# -(l*vr)*wt - (l*wr)*vt is -2*l*vr*vt bit for bit).  The diagonal chart's
-# form is the warped-product connection (O'Neill, Semi-Riemannian Geometry,
-# Prop. 7.35).
+# The integrators carry one flat state of Python floats: the position, the
+# velocity, then the rows of a frame.  jet(pos, v) holds what a stage's rates
+# share, and rates(jet, pos, v, w) = -Gamma(v, w) is bilinear in v and one
+# vector w; pos may be the whole flat state, as both read only pos[:dim].
+# The geodesic acceleration is rates(v, v), each term grouped so that it
+# rounds as the quadratic form does (at w = v, the sum -(l*vr)*wt - (l*wr)*vt
+# is -2*l*vr*vt bit for bit).  The diagonal chart's form is the
+# warped-product connection (O'Neill, Semi-Riemannian Geometry, Prop. 7.35).
+
+
+def _dot(a, b) -> float:
+    """Left-to-right dot product of two float sequences."""
+    s = 0.0
+    for p, q in zip(a, b):
+        s += p * q
+    return s
 
 
 def _connection(chart: MetricChart) -> Tuple[Callable, Callable]:
-    """(jet, rates) with transport rates rates(jet(pos), pos, v, w)."""
+    """(jet, rates) with transport rates rates(jet(pos, v), pos, v, w)."""
     profile = chart.profile
     if chart.kind == CARTESIAN:
         d = chart.block_dim
 
-        def jet(pos):
-            x = pos[:d]
-            # plain-float radius, not radius_of: this runs at every RK4 stage
-            return axis_coefficients(profile, math.sqrt(float(x @ x)))
+        def jet(pos, v):
+            return axis_coefficients(profile, math.sqrt(_dot(x := pos[:d], x)))
 
         def rates(coeffs, pos, v, w):
             a, b, apr, bpr, tau2, tpr = coeffs
-            x = pos[:d]
-            vb, vz = v[:d], v[d]
-            wb, wz = w[..., :d], w[..., d]
-            # np.vecdot rounds each row as np.dot rounds one vector, so row
-            # 0 of a stack is the single-vector call bit for bit
-            dot, col = ((np.dot, lambda s: s) if w.ndim == 1
-                        else (np.vecdot, lambda s: s[:, None]))
-            sv, sw = dot(vb, x), dot(wb, x)
-            q = dot(wb, vb)
+            x, vb, wb, vz, wz = pos[:d], v[:d], w[:d], v[d], w[d]
+            sv, sw, q = _dot(vb, x), _dot(wb, x), _dot(wb, vb)
             c = bpr * sv * sw + 2.0 * b * q - apr * q - tpr * vz * wz
-            u = (apr * sv) * wb + col(apr * sw) * vb + col(c) * x
-            xu = dot(u, x)
-            out = np.empty(w.shape)
-            out[..., :d] = -(u - col(b * xu) * x) / (2.0 * a)
-            out[..., d] = -((tpr * sv) * wz + (tpr * sw) * vz) / (2.0 * tau2)
-            return out
+            asv, asw = apr * sv, apr * sw
+            u = [asv * s + asw * t + c * e for s, t, e in zip(wb, vb, x)]
+            bxu, a2 = b * _dot(u, x), 2.0 * a
+            return [*(-(s - bxu * e) / a2 for s, e in zip(u, x)),
+                    -((tpr * sv) * wz + (tpr * sw) * vz) / (2.0 * tau2)]
 
         return jet, rates
     if chart.kind == POLAR and chart.n == 1:
-        def rates(st, pos, v, w):  # plain floats or arrays alike
+        def rates(st, pos, v, w):
             sg, dsg, _, tu, dtu, _ = st
-            vr, vt, vz = v
-            stack = isinstance(w, np.ndarray)
-            wr, wt, wz = w.T if stack else w
+            (vr, vt, vz), (wr, wt, wz) = v, w
             ls, lt = dsg / sg, dtu / tu
             # grouped as (warp * rate) products: the factors overflow/underflow
             # separately at large radius while the products stay ordinary
-            out = ((sg * vt) * (dsg * wt) + (tu * vz) * (dtu * wz),
-                   -(ls * vr) * wt - (ls * wr) * vt,
-                   -(lt * vr) * wz - (lt * wr) * vz)
-            return np.array(out).T if stack else out
+            return ((sg * vt) * (dsg * wt) + (tu * vz) * (dtu * wz),
+                    -(ls * vr) * wt - (ls * wr) * vt,
+                    -(lt * vr) * wz - (lt * wr) * vz)
 
-        return lambda pos: profile.sigma_tau(pos[0]), rates
-    return (lambda pos: christoffel(chart.point(pos)),
-            lambda gamma, pos, v, w: -np.einsum("ijk,j,...k->...i",
-                                                gamma, v, w))
+        return lambda pos, v: profile.sigma_tau(pos[0]), rates
+
+    def jet(pos, v):
+        # -Gamma contracted with v once per stage: row i dotted with w is
+        # the i-th rate of w
+        gamma = christoffel(chart.point(pos[:chart.dim]))
+        return (-(np.asarray(v) @ gamma)).tolist()
+
+    return jet, lambda rows, pos, v, w: [_dot(row, w) for row in rows]
+
+
+def _flat_rates(chart: MetricChart, rows: int = 0) -> Callable:
+    """rhs(y, jet=None): rates of the flat state y = (position, velocity,
+    ``rows`` frame rows, ...) from one connection jet, ``jet`` if given."""
+    connection_jet, rates = _connection(chart)
+    dim = chart.dim
+    starts = range(2 * dim, (2 + rows) * dim, dim)
+
+    def rhs(y, jet=None):
+        vel = y[dim:2 * dim]  # the forms read the position from y[:dim]
+        if jet is None:
+            jet = connection_jet(y, vel)
+        out = [*vel, *rates(jet, y, vel, vel)]
+        for k in starts:
+            out += rates(jet, y, vel, y[k:k + dim])
+        return out
+
+    return rhs
 
 
 def _exit_guard(chart: MetricChart, h: float,
@@ -348,30 +368,9 @@ def integrate_geodesic(chart: MetricChart, state: PhaseState, duration: float,
         raise ValueError("record_every must be >= 1")
     chart.point(state.position)  # validates chart membership
     n_steps, h = _step_count(duration, step)
-    jet, rates = _connection(chart)
-    if chart.kind == POLAR and chart.n == 1:
-        # plain floats (r, theta, z, vr, vt, vz): the busiest chart skips
-        # the per-stage array traffic
-        y = [float(c) for c in (*state.position, *state.velocity)]
-
-        def rhs(y):
-            vel = y[3:]
-            return [*vel, *rates(jet(y), y, vel, vel)]  # jet reads y[0] = r
-
-        def phase(y):
-            return y[:3], y[3:]
-    else:
-        y = [state.position, state.velocity]
-
-        def rhs(y):
-            pos, vel = y
-            return [vel, rates(jet(pos), pos, vel, vel)]
-
-        def phase(y):
-            return y[0], y[1]
-
-    pos, vel = phase(y)
-    times, positions, velocities = [0.0], [pos], [vel]
+    dim = chart.dim
+    y = state.position.tolist() + state.velocity.tolist()
+    times, positions, velocities = [0.0], [y[:dim]], [y[dim:]]
 
     def path():
         return GeodesicPath(chart, h, np.array(times), np.array(positions),
@@ -380,10 +379,10 @@ def integrate_geodesic(chart: MetricChart, state: PhaseState, duration: float,
     guard = _exit_guard(chart, h, path)
 
     def before(i, y):
-        guard(i, *phase(y))
+        guard(i, y[:dim], y[dim:])
 
     def after(i, y):
-        pos, vel = phase(y)
+        pos, vel = y[:dim], y[dim:]
         if not _finite(pos, vel):
             raise ChartExitError("non-finite state", (i + 1) * h,
                                  PhaseState(positions[-1], velocities[-1]),
@@ -393,7 +392,7 @@ def integrate_geodesic(chart: MetricChart, state: PhaseState, duration: float,
             positions.append(pos)
             velocities.append(vel)
 
-    before(n_steps, _rk4(rhs, y, n_steps, h, before, after))
+    before(n_steps, _rk4(_flat_rates(chart), y, n_steps, h, before, after))
     return path()
 
 
@@ -431,10 +430,10 @@ def parallel_transport(path: GeodesicPath, frame: Sequence[np.ndarray],
 
     The frame rides along the same RK4 stages as the base geodesic, which
     is re-integrated from the path's initial sample at the path's step (or
-    ``step`` when given).  Each stage evaluates the chart's connection jet
-    once and makes one call of its bilinear rates form -Gamma(v, .) on the
-    stack of the velocity and the frame: row 0 is the geodesic acceleration
-    and the other rows are the frame vectors' transport rates.
+    ``step`` when given).  The state is one flat list of floats (position,
+    velocity, frame rows); each stage evaluates the chart's connection jet
+    once and calls its bilinear rates form -Gamma(v, .) on the velocity,
+    for the geodesic acceleration, and on each frame vector.
     """
     chart = path.chart
     state = path.state(0)
@@ -442,24 +441,22 @@ def parallel_transport(path: GeodesicPath, frame: Sequence[np.ndarray],
         step = path.step
     chart.point(state.position)
     n_steps, h = _step_count(path.duration, step)
-    jet, rates = _connection(chart)
     guard = _exit_guard(chart, h)
+    dim = chart.dim
 
     w0 = np.array([np.asarray(w, dtype=float) for w in frame])
-    if w0.ndim != 2 or w0.shape[1] != chart.dim:
+    if w0.ndim != 2 or w0.shape[1] != dim:
         raise ValueError("frame must be a list of tangent vectors")
     gram0 = _gram(chart, [state.position], [w0])[0]
 
-    def rhs(y):
-        pos, vel, w = y
-        out = rates(jet(pos), pos, vel, np.vstack([vel, w]))
-        return [vel, out[0], out[1:]]
-
-    pos, vel, w = _rk4(rhs, [state.position, state.velocity, w0], n_steps, h,
-                       lambda i, y: guard(i, y[0], y[1]), lambda i, y: None)
+    y = _rk4(_flat_rates(chart, len(w0)), state.position.tolist()
+             + state.velocity.tolist() + w0.ravel().tolist(), n_steps, h,
+             lambda i, y: guard(i, y[:dim], y[dim:2 * dim]),
+             lambda i, y: None)
+    pos, vel, *w = np.array(y).reshape(-1, dim)
     guard(n_steps, pos, vel)
     defect = float(np.max(np.abs(_gram(chart, [pos], [w])[0] - gram0)))
-    return TransportResult(w, PhaseState(pos, vel), defect)
+    return TransportResult(np.array(w), PhaseState(pos, vel), defect)
 
 
 # ---------------------------------------------------------------------------
@@ -524,43 +521,45 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
     if c0 <= 0.0:
         raise ValueError("c0 must be positive")
     n_steps, h = _step_count(duration, step)
-    jet, rates = _connection(chart)
     guard = _exit_guard(chart, h)
     profile = chart.profile
-
+    dim = chart.dim
     frame = _normal_frame(chart, state.position, state.velocity)
     m = len(frame)
+    flat_rates = _flat_rates(chart, m)
+    # on polar n = 1 the connection's jet is the radial jet itself, so one
+    # jet_ratios call per stage serves the rates and the curvature term
+    radial_connection = chart.kind == POLAR and chart.n == 1
     u = c0 * np.eye(m)
 
-    def curvature_operator(pos_, vw):
-        jet, ratios = profile.jet_ratios(chart.radius_of(pos_))
-        if all(k == 0.0 for k in ratios):
-            return np.zeros((m, m))
-        ar, a_s, az = adapted_components_raw(chart, pos_, vw, jet[0], jet[3])
-        return curvature_numerator(ratios, (ar[1:], a_s[1:], az[1:]),
-                                   (ar[0], a_s[0], az[0]))
-
     def rhs(y):
-        pos_, vel_, w_rows, u_mat = y
-        vw = np.vstack([vel_, w_rows])
-        out = rates(jet(pos_), pos_, vel_, vw)
-        return [vel_, out[0], out[1:],
-                -(u_mat @ u_mat) - curvature_operator(pos_, vw)]
+        pos_, u_mat = np.array(y[:dim]), y[-1]
+        jet, ratios = profile.jet_ratios(chart.radius_of(pos_))
+        out = flat_rates(y, jet[:6] if radial_connection else None)
+        curvature = 0.0  # M vanishes wherever every principal ratio does
+        if any(ratios):
+            vw = np.array(y[dim:-1]).reshape(m + 1, dim)
+            ar, a_s, az = adapted_components_raw(chart, pos_, vw, jet[0],
+                                                 jet[3])
+            curvature = curvature_numerator(
+                ratios, (ar[1:], a_s[1:], az[1:]), (ar[0], a_s[0], az[0]))
+        out.append(-(u_mat @ u_mat) - curvature)
+        return out
 
     max_eig_allowed = 1.0 / h
     rec_times = [0.0]
     rec_traces = [float(np.trace(u))]
 
     def before(i, y):
-        guard(i, y[0], y[1])
-        if _gershgorin_upper(y[3]) > max_eig_allowed:
-            exact = float(np.max(np.linalg.eigvalsh(y[3])))
+        guard(i, y[:dim], y[dim:2 * dim])
+        if _gershgorin_upper(y[-1]) > max_eig_allowed:
+            exact = float(np.max(np.linalg.eigvalsh(y[-1])))
             if exact > max_eig_allowed:
                 raise RiccatiBlowupError(
                     "comparison operator eigenvalue exceeded 1/step", i * h)
 
     def after(i, y):
-        u_mat = y[3] = 0.5 * (y[3] + y[3].T)
+        u_mat = y[-1] = 0.5 * (y[-1] + y[-1].T)
         if not np.all(np.isfinite(u_mat)):
             raise RiccatiBlowupError("comparison operator became non-finite",
                                      (i + 1) * h)
@@ -568,8 +567,9 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
             rec_times.append((i + 1) * h)
             rec_traces.append(float(np.trace(u_mat)))
 
-    pos, vel, _, u = _rk4(rhs, [state.position, state.velocity, frame, u],
-                          n_steps, h, before, after)
+    *flat, u = _rk4(rhs, state.position.tolist() + state.velocity.tolist()
+                    + frame.ravel().tolist() + [u], n_steps, h, before, after)
+    pos, vel = flat[:dim], flat[dim:2 * dim]
     guard(n_steps, pos, vel)
     return RiccatiResult(u, np.array(rec_times), np.array(rec_traces),
                          PhaseState(pos, vel))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fatflat import cylinder, geometry
+from fatflat import cylinder, flow, geometry
 from fatflat.cylinder import (
     RotationBlock,
     TwistedCylinder,
@@ -225,6 +225,25 @@ class TestCoreHolonomy:
         unrolled = make_cylinder(ramp19, angles=(3 * 0.7,), length=3.0)
         cubed = np.linalg.matrix_power(core_holonomy(base), 3)
         assert np.linalg.norm(cubed - core_holonomy(unrolled)) <= 1e-7
+
+    @pytest.mark.parametrize("angles, length, step", [
+        ((1.0,), 1.0, flow.DEFAULT_STEP),
+        ((0.7,), 1.0, 3e-3),
+        ((1.0, math.sqrt(2.0)), 2.0, flow.DEFAULT_STEP)])
+    @pytest.mark.parametrize("variant", ["hyperbolic_profile", "ramp19"])
+    def test_exact_core_line_matches_an_integrated_core(
+            self, request, variant, angles, length, step):
+        # the transport re-integrates the core from its first sample, so an
+        # integrated core geodesic and the exact line give the same loop
+        cyl = make_cylinder(request.getfixturevalue(variant), angles, length)
+        d = cyl.dim
+        start = PhaseState(np.zeros(d), np.eye(d)[d - 1])
+        path = flow.integrate_geodesic(cyl.cartesian_chart(), start,
+                                       cyl.length, step, record_every=10 ** 9)
+        transported = flow.parallel_transport(path, np.eye(d)[:d - 1])
+        p_block = transported.vectors[:, :-1].T
+        integrated = cyl.rho.matrix() @ np.linalg.inv(p_block)
+        assert np.array_equal(core_holonomy(cyl, step), integrated)
 
 
 class TestEigenObstruction:

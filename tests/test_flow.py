@@ -12,6 +12,7 @@ import pytest
 from fatflat import flow, geometry
 from fatflat.flow import ChartExitError, PhaseState
 from fatflat.geometry import MetricChart
+from fatflat.profiles import WarpingProfile
 
 from conftest import assert_close
 
@@ -22,6 +23,16 @@ FROZEN_LOOP_ROTATION = -0.010620102017513707
 # trace of the comparison operator after T=20 along the inward radial
 # orbit started at r=36 (k=19 profile, unit c0, step 1e-3)
 FROZEN_CROSSING_TRACE = 2.211653496683519
+
+# U(T) and its recorded traces along a unit-speed ramp orbit (k=19 profile,
+# polar n = 1, start r = 12, T = 0.5, step 1e-3, unit c0), bit for bit as
+# the earlier integrator gave them when it stacked the velocity and frame
+# into arrays at every RK4 stage
+FROZEN_RAMP_U = ["0x1.1d021d8cc7344p+0", "0x1.9d822c99b0c3bp-16",
+                 "0x1.9d822c99b0c3bp-16", "0x1.1e7dcba6c2fabp+0"]
+FROZEN_RAMP_TRACES = ["0x1.0000000000000p+1", "0x1.08c86647f9dc8p+1",
+                      "0x1.0fe7a1be7bd46p+1", "0x1.159fdaa2211f3p+1",
+                      "0x1.1a2c197f2dcd8p+1", "0x1.1dbff499c5178p+1"]
 
 
 def unit_state(chart, position, velocity) -> PhaseState:
@@ -154,7 +165,7 @@ class TestGeodesics:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("run", ["geodesic", "transport", "riccati"])
     def test_chart_exit_in_every_integrator(self, ramp19, n, run):
-        # polar n = 1 takes the plain-float geodesic path, n = 2 the array one
+        # polar n = 1 reads the radial jet, n = 2 the Christoffel symbols
         chart = MetricChart.polar(ramp19, n)
         start = np.zeros(chart.dim)
         start[0] = 0.5
@@ -294,11 +305,11 @@ class TestConnection:
     @pytest.mark.parametrize("variant", ["flat_profile", "hyperbolic_profile",
                                          "ramp19"])
     def test_rates_match_christoffel_oracle(self, request, variant):
-        # the bilinear rates against -Gamma(v, w) contracted from the
-        # Christoffel symbols, entry by entry on the Cauchy-Schwarz scale
-        # sum |Gamma| |v| |w| of each entry, plus the smallest normal float
-        # for entries that underflow; the acceleration is the w = v case
-        # and must be the stack's row 0 bit for bit
+        # the bilinear rates of one vector w per call, in plain floats,
+        # against -Gamma(v, w) contracted from the Christoffel symbols,
+        # entry by entry on the Cauchy-Schwarz scale sum |Gamma| |v| |w| of
+        # each entry, plus the smallest normal float for entries that
+        # underflow; the acceleration is the w = v case
         profile = request.getfixturevalue(variant)
         rng = np.random.default_rng(37)
         charts = [MetricChart.polar(profile, 1), MetricChart.polar(profile, 2),
@@ -315,18 +326,17 @@ class TestConnection:
                 v = rng.standard_normal(chart.dim) * 10.0 ** rng.uniform(-4, 4)
                 w = (rng.standard_normal((4, chart.dim))
                      * 10.0 ** rng.uniform(-4, 4, (4, 1)))
+                rows = np.vstack([v, w])
                 gamma = geometry.christoffel(chart.point(pos))
-                want = -np.einsum("ijk,j,...k->...i", gamma, v, w)
+                want = -np.einsum("ijk,j,...k->...i", gamma, v, rows)
                 scale = np.einsum("ijk,j,...k->...i", np.abs(gamma),
-                                  np.abs(v), np.abs(w))
-                at = jet(pos)
-                got = rates(at, pos, v, np.vstack([v, w]))
-                assert_close(got[1:], want,
+                                  np.abs(v), np.abs(rows))
+                pos, v = pos.tolist(), v.tolist()
+                at = jet(pos, v)
+                got = [rates(at, pos, v, row) for row in rows.tolist()]
+                assert all(type(c) is float for row in got for c in row)
+                assert_close(got, want,
                              abs_tol=1e-13 * scale + np.finfo(float).tiny)
-                assert np.array_equal(rates(at, pos, v, v), got[0])
-                if chart.kind == geometry.POLAR and chart.n == 1:
-                    floats = [float(c) for c in v]
-                    assert rates(at, pos, floats, floats) == tuple(got[0])
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +413,44 @@ class TestParallelTransport:
                          abs_tol=1e-12)
             end = gram(result.end_state.position, result.vectors)
             assert_close(end, np.eye(dim), abs_tol=1e-8)
+
+    @pytest.mark.parametrize("kind, n", [
+        (geometry.POLAR, 1), (geometry.CARTESIAN, 1), (geometry.CARTESIAN, 2),
+        (geometry.FOUR_D, 1)])
+    @pytest.mark.parametrize("r", [1.0, 3.0, 6.0])
+    def test_matches_array_rk4_oracle(self, ramp19, kind, n, r):
+        # the flat-float transport against an array RK4 over the stack of
+        # position, velocity and frame with rates -Gamma(v, w) contracted
+        # from the Christoffel symbols, on the same step grid; at r = 12 the
+        # Cartesian Christoffel symbols inherit the ~u A cancellation of
+        # A I + B x x^T (A ~ 2e6), and there the oracle is the less
+        # accurate side
+        chart = MetricChart(kind, n, ramp19)
+        rng = np.random.default_rng(41)
+        state = unit_state(chart, metric_point(chart, r, rng),
+                           rng.standard_normal(chart.dim))
+        frame = rng.standard_normal((3, chart.dim))
+        n_steps, h = flow._step_count(0.2, 1e-3)
+
+        def rhs(y):
+            gamma = geometry.christoffel(chart.point(y[0]))
+            return np.vstack([y[1],
+                              -np.einsum("ijk,j,mk->mi", gamma, y[1], y[1:])])
+
+        want = np.vstack([state.position, state.velocity, frame])
+        for _ in range(n_steps):
+            k1 = rhs(want)
+            k2 = rhs(want + 0.5 * h * k1)
+            k3 = rhs(want + 0.5 * h * k2)
+            k4 = rhs(want + h * k3)
+            want = want + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+        path = flow.integrate_geodesic(chart, state, 0.2,
+                                       record_every=10 ** 9)
+        result = flow.parallel_transport(path, frame)
+        got = np.vstack([result.end_state.position, result.end_state.velocity,
+                         result.vectors])
+        assert_close(got, want, abs_tol=1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_velocity_transports_to_itself(self, polar_19):
         state = unit_state(polar_19, [7.0, 0.5, 0.0], [0.3, 0.2, 0.6])
@@ -512,6 +560,28 @@ class TestComparisonOperator:
         coarse = flow.riccati_expansion(path, c0=1.0, step=2e-3)
         assert float(np.trace(coarse.u_final)) == pytest.approx(trace,
                                                                 abs=5e-9)
+
+    def test_ramp_orbit_bit_for_bit_from_one_jet_per_stage(self, polar_19,
+                                                          monkeypatch):
+        # on polar n = 1 one jet_ratios call per stage serves the rates and
+        # the curvature term, so the scalar sigma_tau is never called
+        state = unit_state(polar_19, [12.0, 0.3, 0.0], [0.4, 0.25, 0.55])
+        path = flow.integrate_geodesic(polar_19, state, 0.5,
+                                       record_every=10 ** 9)
+        sigma_tau = WarpingProfile.sigma_tau
+        radii = []
+
+        def counted(profile, r):
+            radii.append(r)
+            return sigma_tau(profile, r)
+
+        monkeypatch.setattr(WarpingProfile, "sigma_tau", counted)
+        result = flow.riccati_expansion(path)
+        assert radii == []
+        assert result.u_final.ravel().tolist() == [
+            float.fromhex(x) for x in FROZEN_RAMP_U]
+        assert result.traces.tolist() == [
+            float.fromhex(x) for x in FROZEN_RAMP_TRACES]
 
     def test_traces_recorded_monotone_time(self, polar_19):
         state = PhaseState(np.array([10.0, 0.0, 0.0]),
