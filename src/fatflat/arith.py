@@ -465,17 +465,9 @@ def _hyperbolic_gram(q: int) -> np.ndarray:
 
 
 def _anisotropic_gram(q: int, alpha: int) -> np.ndarray:
-    # diag(1, c) is anisotropic exactly when -c is a non-square; the first
-    # choice c = -alpha always qualifies because -c = alpha is the defining
-    # non-residue.  The search branch is kept for the stated decision rule
-    # but cannot trigger.
-    c = (-alpha) % q
-    if pow((-c) % q, (q - 1) // 2, q) == q - 1:
-        return np.diag([1, c]).astype(np.int64)
-    for c in range(1, q):
-        if pow((-c) % q, (q - 1) // 2, q) == q - 1:
-            return np.diag([1, c]).astype(np.int64)
-    raise RuntimeError("unreachable: some -c is always a non-residue")
+    # diag(1, c) is anisotropic exactly when -c is a non-square, so
+    # c = -alpha qualifies: -c = alpha is the defining non-residue
+    return np.diag([1, (-alpha) % q]).astype(np.int64)
 
 
 def form_hyperbolic_plane(q: int) -> FormSpec:

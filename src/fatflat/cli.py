@@ -916,28 +916,25 @@ _REPORT_ALL_OPTS = _COMMON
 
 def _run_report_all(cfg: Mapping[str, object]) -> list[CheckResult]:
     seed = int(cfg["seed"])
-    suite: list[tuple[str, Callable[[Mapping[str, object]], list[CheckResult]],
-                      Sequence[Option], dict[str, object]]] = [
-        ("verify-profile", _run_verify_profile, _VERIFY_PROFILE_OPTS, {}),
-        ("verify-curvature", _run_verify_curvature, _VERIFY_CURVATURE_OPTS,
-         {"samples": 2000, "grid": 300, "fd-samples": 8}),
-        ("holonomy", _run_holonomy, _HOLONOMY_OPTS, {}),
-        ("closing-scan", _run_closing_scan, _CLOSING_OPTS,
-         {"angles": (0.5 * math.pi,), "periods": 10 ** 4}),
-        ("eigen-obstruction", _run_eigen_obstruction, _EIGEN_OPTS, {}),
-        ("ff-lemma", _run_ff_lemma, _FF_OPTS,
-         {"q": 7, "reduction-samples": 100}),
-        ("flats-hausdorff", _run_flats_hausdorff, _HAUSDORFF_OPTS,
-         {"triples": 300}),
-        ("flats-translation", _run_flats_translation, _TRANSLATION_OPTS, {}),
-        ("flats-thicken", _run_flats_thicken, _THICKEN_OPTS, {}),
+    # the sub-suites in report order, each with its option overrides
+    suite: list[tuple[str, dict[str, object]]] = [
+        ("verify-profile", {}),
+        ("verify-curvature", {"samples": 2000, "grid": 300, "fd-samples": 8}),
+        ("holonomy", {}),
+        ("closing-scan", {"angles": (0.5 * math.pi,), "periods": 10 ** 4}),
+        ("eigen-obstruction", {}),
+        ("ff-lemma", {"q": 7, "reduction-samples": 100}),
+        ("flats-hausdorff", {"triples": 300}),
+        ("flats-translation", {}),
+        ("flats-thicken", {}),
     ]
     checks: list[CheckResult] = []
-    for name, runner, options, overrides in suite:
-        sub_cfg = {opt.name: opt.default for opt in options}
+    for name, overrides in suite:
+        command = _COMMANDS[name]
+        sub_cfg = {opt.name: opt.default for opt in command.options}
         sub_cfg.update(overrides)
         sub_cfg["seed"] = seed
-        for result in runner(sub_cfg):
+        for result in command.runner(sub_cfg):
             checks.append(
                 CheckResult(
                     name=f"{name}:{result.name}",

@@ -519,14 +519,15 @@ class FlatBox2D:
         )
 
 
-def _line_angle_between(first: float, second: float) -> float:
-    """Angle in [0, pi/2] between two undirected line directions."""
+def _signed_line_angle(first: float, second: float) -> float:
+    """Signed angle in [-pi/2, pi/2] from one undirected line direction to
+    another; its absolute value is the angle between the lines."""
     raw = math.fmod(second - first, math.pi)
     if raw < -0.5 * math.pi:
         raw += math.pi
     elif raw > 0.5 * math.pi:
         raw -= math.pi
-    return abs(raw)
+    return raw
 
 
 def thicken_strips(first: FramedStrip2D, second: FramedStrip2D) -> FlatBox2D:
@@ -543,7 +544,8 @@ def thicken_strips(first: FramedStrip2D, second: FramedStrip2D) -> FlatBox2D:
     delta_1 = first.half_width
     delta_2 = second.half_width
     delta = min(delta_1, delta_2)
-    theta = _line_angle_between(first.angle, second.angle)
+    signed = _signed_line_angle(first.angle, second.angle)
+    theta = abs(signed)
     if theta == 0.0:
         raise ParallelStripsError("strip directions are parallel")
     if not theta < delta:
@@ -561,12 +563,7 @@ def thicken_strips(first: FramedStrip2D, second: FramedStrip2D) -> FlatBox2D:
 
     # Work in the frame (crossing; u1, mirror * n1) in which the second
     # strip's center line has positive slope tan(theta).
-    raw = math.fmod(second.angle - first.angle, math.pi)
-    if raw < -0.5 * math.pi:
-        raw += math.pi
-    elif raw > 0.5 * math.pi:
-        raw -= math.pi
-    mirror = 1.0 if raw >= 0.0 else -1.0
+    mirror = 1.0 if signed >= 0.0 else -1.0
     up = mirror * first.normal
 
     # The box spans y in [-d1, d1 + g] (frame coordinates): the part with

@@ -38,8 +38,8 @@ import numpy as np
 
 from .geometry import (
     CARTESIAN,
-    FOUR_D,
     POLAR,
+    ChartDomainError,
     ChartPoint,
     MetricChart,
     adapted_components_raw,
@@ -250,7 +250,7 @@ def _connection(chart: MetricChart) -> Tuple[Callable, Callable]:
                     -((tpr * sv) * wz + (tpr * sw) * vz) / (2.0 * tau2)]
 
         return jet, rates
-    if chart.kind == POLAR and chart.n == 1:
+    if chart.kind == POLAR and chart.block_dim == 2:
         def rates(st, pos, v, w):
             sg, dsg, _, tu, dtu, _ = st
             (vr, vt, vz), (wr, wt, wz) = v, w
@@ -261,15 +261,32 @@ def _connection(chart: MetricChart) -> Tuple[Callable, Callable]:
                     -(ls * vr) * wt - (ls * wr) * vt,
                     -(lt * vr) * wz - (lt * wr) * vz)
 
-        return lambda pos, v: profile.sigma_tau(pos[0]), rates
+        def jet(pos, v):
+            try:
+                return profile.sigma_tau(pos[0])
+            except OverflowError:  # sinh, cosh past r ~ 710
+                raise _overflow_error(pos[0]) from None
+
+        return jet, rates
 
     def jet(pos, v):
         # -Gamma contracted with v once per stage: row i dotted with w is
         # the i-th rate of w
-        gamma = christoffel(chart.point(pos[:chart.dim]))
+        try:
+            gamma = christoffel(chart.point(pos[:chart.dim]))
+        except OverflowError:  # sinh, cosh past r ~ 710
+            raise _overflow_error(pos[0]) from None
+        if not np.isfinite(gamma).all():  # sigma^2 past r ~ 355
+            raise _overflow_error(pos[0])
         return (-(np.asarray(v) @ gamma)).tolist()
 
     return jet, lambda rows, pos, v, w: [_dot(row, w) for row in rows]
+
+
+def _overflow_error(r: float) -> ChartDomainError:
+    return ChartDomainError(
+        f"warped metric terms overflow at r = {r:.17g}: the chart is exact "
+        "only where the warp factors and the terms built from them are finite")
 
 
 def _flat_rates(chart: MetricChart, rows: int = 0) -> Callable:
@@ -297,7 +314,7 @@ def _exit_guard(chart: MetricChart, h: float,
     the orbit must leave ``chart`` or its state is no longer finite;
     ``partial()`` builds the path so far."""
     # diagonal charts also carry polar angles with poles at 0, pi
-    n_angles = {CARTESIAN: 0, FOUR_D: 1}.get(chart.kind, chart.block_dim - 2)
+    n_angles = 0 if chart.kind == CARTESIAN else chart.block_dim - 2
 
     def guard(i, pos, vel):
         # "not inside" tests, so that NaN coordinates fail them too
@@ -399,7 +416,8 @@ def integrate_geodesic(chart: MetricChart, state: PhaseState, duration: float,
 def switch_chart(chart: MetricChart, state: PhaseState,
                  target: MetricChart) -> PhaseState:
     """Express a phase-space state in another chart of the same metric."""
-    if chart.profile is not target.profile or chart.n != target.n:
+    if (chart.profile is not target.profile
+            or chart.block_dim != target.block_dim):
         raise ValueError("charts describe different spaces")
     if chart.kind == target.kind:
         return state.copy()
@@ -468,7 +486,10 @@ def _normal_frame(chart: MetricChart, position: np.ndarray,
     """Metric-orthonormal basis of the normal space of ``velocity``, by
     Gram-Schmidt in chart coordinates against the metric's matrix."""
     dim = chart.dim
-    g = _gram(chart, [position], [np.eye(dim)])[0]
+    with np.errstate(over="ignore"):
+        g = _gram(chart, [position], [np.eye(dim)])[0]
+    if not np.isfinite(g).all():  # sigma^2 past r ~ 355
+        raise _overflow_error(chart.radius_of(position))
     vnorm = float(velocity @ g @ velocity)
     if vnorm <= 0.0:
         raise ValueError("velocity must be nonzero")
@@ -529,12 +550,16 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
     flat_rates = _flat_rates(chart, m)
     # on polar n = 1 the connection's jet is the radial jet itself, so one
     # jet_ratios call per stage serves the rates and the curvature term
-    radial_connection = chart.kind == POLAR and chart.n == 1
+    radial_connection = chart.kind == POLAR and chart.block_dim == 2
     u = c0 * np.eye(m)
 
     def rhs(y):
         pos_, u_mat = np.array(y[:dim]), y[-1]
-        jet, ratios = profile.jet_ratios(chart.radius_of(pos_))
+        r = chart.radius_of(pos_)
+        try:
+            jet, ratios = profile.jet_ratios(r)
+        except OverflowError:
+            raise _overflow_error(r) from None
         out = flat_rates(y, jet[:6] if radial_connection else None)
         curvature = 0.0  # M vanishes wherever every principal ratio does
         if any(ratios):

@@ -1,10 +1,12 @@
 """Coordinate charts for axially warped metrics and their curvature.
 
-Three chart kinds cover the model space R^(2n+1) (and its 4-dimensional
-reduction): a polar chart built on hyperspherical sphere coordinates, an
-axis-regular Cartesian chart that stays smooth through r = 0, and the
-4-dimensional model chart (r, theta, phi, z) used for plane-by-plane
-curvature work.  Every chart evaluates the metric tensor, Christoffel
+Two chart kinds cover the model space R^d x R of the metric
+dr^2 + sigma(r)^2 g_sphere + tau(r)^2 dz^2 over a transverse block of any
+dimension d >= 2: a polar chart built on hyperspherical sphere coordinates,
+and an axis-regular Cartesian chart that stays smooth through r = 0.  The
+model space R^(2n+1) has d = 2n; its 4-dimensional reduction (r, theta,
+phi, z), used for plane-by-plane curvature work, is the polar chart on a
+block of dimension 3.  Every chart evaluates the metric tensor, Christoffel
 symbols, the lowered Riemann tensor and sectional curvatures, and the
 module provides randomized nonpositivity scans over coordinate boxes.
 """
@@ -28,7 +30,6 @@ from .rng import sample_stream
 
 POLAR = "polar"
 CARTESIAN = "cartesian"
-FOUR_D = "four_d_model"
 
 R_MIN = 1e-8
 _PLANE_TOL = 1e-14
@@ -48,46 +49,42 @@ class DegeneratePlaneError(ValueError):
 
 @dataclass(frozen=True)
 class MetricChart:
-    """A coordinate chart carrying the warped metric.
+    """A coordinate chart carrying the warped metric on a transverse block
+    of dimension ``block_dim`` times the z-axis.
 
-    kind 'polar': coordinates (r, a_1..a_{2n-1}, z) with hyperspherical
-    angles on the sphere factor; valid for r >= R_MIN.
-    kind 'cartesian': coordinates (x_1..x_{2n}, z); valid everywhere,
+    kind 'polar': coordinates (r, a_1..a_{block_dim-1}, z) with
+    hyperspherical angles on the sphere factor, a_1..a_{block_dim-2} in
+    (0, pi); valid for r >= R_MIN.  On a 3-dimensional block this is the
+    4-dimensional reduction chart (r, theta, phi, z) for plane curvature.
+    kind 'cartesian': coordinates (x_1..x_{block_dim}, z); valid everywhere,
     including the axis x = 0.
-    kind 'four_d_model': coordinates (r, theta, phi, z) on R^4 with
-    theta in (0, pi); the reduction chart for plane curvature.
     """
 
     kind: str
-    n: int
+    block_dim: int
     profile: WarpingProfile
 
     def __post_init__(self):
-        if self.kind not in (POLAR, CARTESIAN, FOUR_D):
+        if self.kind not in (POLAR, CARTESIAN):
             raise ValueError(f"unknown chart kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if self.block_dim < 2:
+            raise ValueError("block_dim must be >= 2")
 
     @classmethod
     def polar(cls, profile: WarpingProfile, n: int = 1) -> "MetricChart":
-        return cls(POLAR, n, profile)
+        return cls(POLAR, 2 * n, profile)
 
     @classmethod
     def cartesian(cls, profile: WarpingProfile, n: int = 1) -> "MetricChart":
-        return cls(CARTESIAN, n, profile)
+        return cls(CARTESIAN, 2 * n, profile)
 
     @classmethod
     def four_d_model(cls, profile: WarpingProfile) -> "MetricChart":
-        return cls(FOUR_D, 1, profile)
+        return cls(POLAR, 3, profile)
 
     @property
     def dim(self) -> int:
-        return 4 if self.kind == FOUR_D else 2 * self.n + 1
-
-    @property
-    def block_dim(self) -> int:
-        """Dimension of the part transverse to the z-axis."""
-        return 3 if self.kind == FOUR_D else 2 * self.n
+        return self.block_dim + 1
 
     def radius_of(self, coords: np.ndarray) -> float | np.ndarray:
         """Distance from the axis encoded by the coordinates: a float for
@@ -102,19 +99,13 @@ class MetricChart:
 
     def contains(self, coords) -> bool:
         coords = np.asarray(coords, dtype=float)
-        if coords.shape != (self.dim,):
+        if coords.shape != (self.dim,) or not np.all(np.isfinite(coords)):
             return False
         if self.kind == CARTESIAN:
-            return bool(np.all(np.isfinite(coords)))
-        if not np.all(np.isfinite(coords)) or coords[0] < R_MIN:
-            return False
-        if self.kind == FOUR_D:
-            return 0.0 < coords[1] < math.pi
+            return True
         # polar: all hyperspherical angles except the last live in (0, pi)
-        for i in range(1, self.block_dim - 1):
-            if not 0.0 < coords[i] < math.pi:
-                return False
-        return True
+        return bool(coords[0] >= R_MIN) and all(
+            0.0 < a < math.pi for a in coords[1:self.block_dim - 1])
 
     def point(self, coords) -> "ChartPoint":
         coords = np.asarray(coords, dtype=float)
@@ -267,15 +258,13 @@ def axis_coefficients(profile: WarpingProfile, r: float):
 # ---------------------------------------------------------------------------
 
 def _diag_factors(chart: MetricChart):
-    """Per-diagonal-entry factor lists for the polar and 4d-model charts.
+    """Per-diagonal-entry factor lists for the polar chart.
 
     Each metric diagonal entry is a product of single-variable factors;
     a factor is ('s2',) for sigma(r)^2, ('t2',) for tau(r)^2, or
     ('sin2', j) for sin^2 of coordinate j.  Variable of the warp factors
     is coordinate 0 (= r).
     """
-    if chart.kind == FOUR_D:
-        return [[], [("s2",)], [("s2",), ("sin2", 1)], [("t2",)]]
     entries = [[]]
     for i in range(chart.block_dim - 1):
         entries.append([("s2",)] + [("sin2", 1 + j) for j in range(i)])
@@ -692,8 +681,8 @@ def adapted_components_raw(chart: MetricChart, coords: np.ndarray,
     vecs = np.asarray(vecs, dtype=float)
     sigma = np.asarray(sigma)[..., None]
     tau = np.asarray(tau)[..., None]
+    d = chart.block_dim
     if chart.kind == CARTESIAN:
-        d = chart.block_dim
         r = np.asarray(chart.radius_of(coords))[..., None]
         # the metric is isotropic within R_MIN of the axis: there any unit
         # radial direction with sigma/r = 1 gives its inner products
@@ -704,18 +693,15 @@ def adapted_components_raw(chart: MetricChart, coords: np.ndarray,
         vr = (vecs[..., :d] @ xhat[..., None])[..., 0]
         perp = vecs[..., :d] - vr[..., None] * xhat[..., None, :]
         return vr, ratio[..., None] * perp, vecs[..., d] * tau
-    if chart.kind == FOUR_D:
-        st = np.sin(coords[..., 1:2])
-        a_s = np.stack([vecs[..., 1] * sigma, vecs[..., 2] * sigma * st],
-                       axis=-1)
-        return vecs[..., 0], a_s, vecs[..., 3] * tau
-    d = chart.block_dim
-    scale = sigma
+    sines = [np.sin(coords[..., j:j + 1]) for j in range(1, d - 1)]
     a_s = np.empty(vecs.shape[:-1] + (d - 1,))
     for i in range(d - 1):
-        a_s[..., i] = vecs[..., 1 + i] * scale
-        if i < d - 2:
-            scale = scale * np.sin(coords[..., 1 + i:2 + i])
+        # the part along a_(i+1) is (v_(i+1) sigma) sin a_1 ... sin a_i,
+        # multiplied left to right
+        part = vecs[..., 1 + i] * sigma
+        for sine in sines[:i]:
+            part = part * sine
+        a_s[..., i] = part
     return vecs[..., 0], a_s, vecs[..., d] * tau
 
 
@@ -768,7 +754,7 @@ def polar_to_cartesian(point: ChartPoint, velocity: np.ndarray | None = None):
     chart = point.chart
     if chart.kind != POLAR:
         raise ChartDomainError("polar_to_cartesian needs a polar point")
-    target = MetricChart.cartesian(chart.profile, chart.n)
+    target = MetricChart(CARTESIAN, chart.block_dim, chart.profile)
     d = chart.block_dim
     coords = point.coords
     x = _spherical_to_block(coords[0], list(coords[1:d]))
@@ -800,7 +786,7 @@ def cartesian_to_polar(point: ChartPoint, velocity: np.ndarray | None = None):
     chart = point.chart
     if chart.kind != CARTESIAN:
         raise ChartDomainError("cartesian_to_polar needs a cartesian point")
-    target = MetricChart.polar(chart.profile, chart.n)
+    target = MetricChart(POLAR, chart.block_dim, chart.profile)
     d = chart.block_dim
     x = point.coords[:d]
     r = point.radius
@@ -865,9 +851,6 @@ def default_region(chart: MetricChart, r_max: float | None = None) -> Box:
         last = i == n_angles - 1
         lo.append(0.0 if last else pad)
         hi.append(2.0 * math.pi if last else math.pi - pad)
-    if chart.kind == FOUR_D:
-        lo[1], hi[1] = pad, math.pi - pad   # theta in (0, pi)
-        lo[2], hi[2] = 0.0, 2.0 * math.pi
     lo.append(-2.0)
     hi.append(2.0)
     return Box(tuple(lo), tuple(hi))

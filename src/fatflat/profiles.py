@@ -19,22 +19,15 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 @dataclass(frozen=True)
 class BumpSpec:
     """Parameters of the bump exp(-k^2/(k^2 - x^2)) on (-k, k)."""
 
     k: float
-    quadrature_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.k >= 1.0:
             raise ValueError(f"bump width k must be >= 1, got {self.k}")
-        if not 0.0 < self.quadrature_tol:
-            raise ValueError("quadrature tolerance must be positive")
 
 
 def bump_f(spec: BumpSpec, x: float) -> float:
@@ -84,70 +77,13 @@ def _bump_jet_many(k: float, xs: np.ndarray):
     return f, df
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> float:
-    """Classic adaptive Simpson with Richardson correction."""
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    m = 0.5 * (a + b)
-    stack = [(a, b, f(a), f(m), f(b), simpson(a, b, f(a), f(m), f(b)), tol, 0)]
-    total = 0.0
-    while stack:
-        x0, x2, f0, f1, f2, whole, tol_i, depth = stack.pop()
-        xm = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + xm)
-        rm = 0.5 * (xm + x2)
-        fl = f(lm)
-        fr = f(rm)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol_i:
-            total += left + right + err / 15.0
-        elif depth >= max_depth:
-            raise QuadratureError(
-                f"tolerance {tol_i:g} unreachable at depth {depth} on "
-                f"[{x0:g}, {x2:g}]")
-        else:
-            half_tol = 0.5 * tol_i
-            stack.append((x0, xm, f0, fl, f1, left, half_tol, depth + 1))
-            stack.append((xm, x2, f1, fr, f2, right, half_tol, depth + 1))
-    return total
-
-
-_TOTAL_MEMO: dict[tuple[float, float], float] = {}
-
-
-def bump_integral_F(spec: BumpSpec, x: float) -> float:
-    """Integral of the bump from -k to x, by adaptive Simpson quadrature.
-
-    The full mass F(k) is memoized per (k, tol) after the first evaluation.
-    Raises QuadratureError when the tolerance cannot be met in double
-    precision.
-    """
-    k = spec.k
-    if not math.isfinite(x):
-        raise ValueError(f"integration endpoint must be finite, got {x}")
-    if x <= -k:
-        return 0.0
-    key = (k, spec.quadrature_tol)
-    if x >= k:
-        if key not in _TOTAL_MEMO:
-            _TOTAL_MEMO[key] = _adaptive_simpson(
-                lambda t: bump_f(spec, t), -k, k, spec.quadrature_tol)
-        return _TOTAL_MEMO[key]
-    return _adaptive_simpson(lambda t: bump_f(spec, t), -k, x,
-                             spec.quadrature_tol)
-
-
 # ---------------------------------------------------------------------------
 # fast evaluation path: cumulative fixed-order panels
 #
 # Scans and flow integration evaluate F at millions of points; adaptive
 # quadrature per call is far too slow there.  A cumulative table of
 # 12-node Gauss panels gives machine-accurate values in O(1) per query and
-# is cross-checked against bump_integral_F in the tests.  The scalar path
+# is cross-checked against an adaptive-Simpson oracle in the tests.  The scalar path
 # (_F_fast, rho) reads Python-list copies of the table and Python-float
 # nodes, so that no numpy scalar reaches the radial jet; the array path
 # (_F_fast_many, rho_many) reads the arrays.

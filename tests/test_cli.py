@@ -259,6 +259,15 @@ class TestGeodesicCommand:
         assert "overflow at r = " in err
         assert "OverflowError" not in err
 
+    def test_polar_past_the_profile_range_returns_two(self, capsys):
+        code = run(["geodesic", "--variant", "hyperbolic", "--position",
+                    "700,0.3,0", "--velocity", "1,0,0", "--duration", "20"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow at r = 710." in err
+        assert "OverflowError" not in err
+
     def test_unknown_chart_rejected(self):
         assert run(["geodesic", "--chart", "spherical"]) == 2
 

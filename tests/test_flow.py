@@ -5,6 +5,7 @@ half-step rerun is repeated in-test) or matched against closed forms.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,14 @@ FROZEN_RAMP_U = ["0x1.1d021d8cc7344p+0", "0x1.9d822c99b0c3bp-16",
 FROZEN_RAMP_TRACES = ["0x1.0000000000000p+1", "0x1.08c86647f9dc8p+1",
                       "0x1.0fe7a1be7bd46p+1", "0x1.159fdaa2211f3p+1",
                       "0x1.1a2c197f2dcd8p+1", "0x1.1dbff499c5178p+1"]
+
+# end state of a unit-speed four_d_model geodesic (k=19 profile, start
+# (12, 1.1, 0.7, 0.3), direction (0.3, -0.2, 0.5, 0.1), T = 0.5, step 1e-3),
+# bit for bit as the chart gave it when it was a chart kind of its own
+FROZEN_FOUR_D_END_POSITION = ["0x1.8476c037a75b8p+3", "0x1.1998e660a14e0p+0",
+                              "0x1.6669e68797bf5p-1", "0x1.333499a1e6ce9p-2"]
+FROZEN_FOUR_D_END_VELOCITY = ["0x1.0ee7b76ff4758p-1", "-0x1.1f48f5b735d22p-16",
+                              "0x1.671eae4c990e1p-15", "0x1.1f3fd00aca0afp-17"]
 
 
 def unit_state(chart, position, velocity) -> PhaseState:
@@ -230,6 +239,70 @@ class TestGeodesics:
         with pytest.raises(ValueError):
             flow.integrate_geodesic(polar_19, state, 1.0, step=0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, "four_d"])
+    @pytest.mark.parametrize("run", ["geodesic", "transport", "riccati"])
+    def test_overflow_past_the_profile_range_is_a_typed_error(
+            self, hyperbolic_profile, n, run):
+        # an outward radial orbit from r = 700 on the hyperbolic piece: the
+        # metric scales overflow from r ~ 355 and sinh, cosh from r ~ 710
+        chart = (MetricChart.four_d_model(hyperbolic_profile) if n == "four_d"
+                 else MetricChart.polar(hyperbolic_profile, n))
+        start = np.zeros(chart.dim)
+        start[0] = 700.0
+        start[1:chart.block_dim] = 1.0
+        start[chart.block_dim - 1] = 0.3
+        outward = np.zeros(chart.dim)
+        outward[0] = 1.0
+        path = flow.GeodesicPath(chart, 1e-3, np.array([0.0, 20.0]),
+                                 np.array([start, start]),
+                                 np.array([outward, outward]))
+        calls = {
+            "geodesic": lambda: flow.integrate_geodesic(
+                chart, PhaseState(start, outward), 20.0),
+            "transport": lambda: flow.parallel_transport(path, [outward]),
+            "riccati": lambda: flow.riccati_expansion(path),
+        }
+        with pytest.raises(geometry.ChartDomainError,
+                           match=r"at r = \d") as err:
+            calls[run]()
+        radius = float(re.search(r"at r = ([\d.]+)", str(err.value))[1])
+        assert 700.0 <= radius < 711.0
+
+    def test_four_d_model_geodesic_bit_for_bit(self, four_d_19):
+        state = unit_state(four_d_19, [12.0, 1.1, 0.7, 0.3],
+                           [0.3, -0.2, 0.5, 0.1])
+        end = flow.integrate_geodesic(four_d_19, state, 0.5,
+                                      record_every=10 ** 9).state()
+        assert [float(c).hex() for c in end.position] == \
+            FROZEN_FOUR_D_END_POSITION
+        assert [float(c).hex() for c in end.velocity] == \
+            FROZEN_FOUR_D_END_VELOCITY
+
+    def test_four_d_model_switches_to_its_cartesian_partner(self, ramp19,
+                                                            four_d_19):
+        cartesian = MetricChart(geometry.CARTESIAN, 3, ramp19)
+        state = unit_state(four_d_19, [2.5, 1.1, 0.7, 0.3],
+                           [0.2, -0.4, 0.9, 0.5])
+        there = flow.switch_chart(four_d_19, state, cartesian)
+        assert cartesian.radius_of(there.position) == pytest.approx(
+            2.5, rel=1e-15)
+        assert flow.kinetic_energy(cartesian, there.position,
+                                   there.velocity) == pytest.approx(
+            1.0, abs=1e-13)
+        back = flow.switch_chart(cartesian, there, four_d_19)
+        assert_close(back.position, state.position, abs_tol=1e-14)
+        assert_close(back.velocity, state.velocity, abs_tol=1e-14)
+
+        # the same geodesic run in both charts ends at the same point
+        polar_end = flow.integrate_geodesic(four_d_19, state, 1.0,
+                                            record_every=10 ** 9).state()
+        cartesian_end = flow.switch_chart(cartesian, flow.integrate_geodesic(
+            cartesian, there, 1.0, record_every=10 ** 9).state(), four_d_19)
+        assert_close(cartesian_end.position, polar_end.position,
+                     abs_tol=1e-10)
+        assert_close(cartesian_end.velocity, polar_end.velocity,
+                     abs_tol=1e-10)
+
     def test_cartesian_overflow_is_a_typed_error(self, hyperbolic_profile):
         # this orbit's RK4 stages reach r ~ 1e9, far past the radius where
         # the Cartesian coefficients overflow
@@ -249,9 +322,6 @@ def metric_point(chart, r, rng):
     if chart.kind == geometry.CARTESIAN:
         direction = rng.standard_normal(chart.block_dim)
         return np.array([*(r / np.linalg.norm(direction) * direction), z])
-    if chart.kind == geometry.FOUR_D:
-        return np.array([r, rng.uniform(0.1, math.pi - 0.1),
-                         rng.uniform(0.0, 2 * math.pi), z])
     inner = rng.uniform(0.1, math.pi - 0.1, chart.block_dim - 2)
     return np.array([r, *inner, rng.uniform(0.0, 2 * math.pi), z])
 
@@ -414,18 +484,19 @@ class TestParallelTransport:
             end = gram(result.end_state.position, result.vectors)
             assert_close(end, np.eye(dim), abs_tol=1e-8)
 
-    @pytest.mark.parametrize("kind, n", [
-        (geometry.POLAR, 1), (geometry.CARTESIAN, 1), (geometry.CARTESIAN, 2),
-        (geometry.FOUR_D, 1)])
+    @pytest.mark.parametrize("kind, block_dim", [
+        (geometry.POLAR, 2), (geometry.CARTESIAN, 2), (geometry.CARTESIAN, 4),
+        (geometry.POLAR, 3)],
+        ids=["polar-1", "cartesian-1", "cartesian-2", "four_d_model-1"])
     @pytest.mark.parametrize("r", [1.0, 3.0, 6.0])
-    def test_matches_array_rk4_oracle(self, ramp19, kind, n, r):
+    def test_matches_array_rk4_oracle(self, ramp19, kind, block_dim, r):
         # the flat-float transport against an array RK4 over the stack of
         # position, velocity and frame with rates -Gamma(v, w) contracted
         # from the Christoffel symbols, on the same step grid; at r = 12 the
         # Cartesian Christoffel symbols inherit the ~u A cancellation of
         # A I + B x x^T (A ~ 2e6), and there the oracle is the less
         # accurate side
-        chart = MetricChart(kind, n, ramp19)
+        chart = MetricChart(kind, block_dim, ramp19)
         rng = np.random.default_rng(41)
         state = unit_state(chart, metric_point(chart, r, rng),
                            rng.standard_normal(chart.dim))

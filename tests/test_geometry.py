@@ -31,6 +31,16 @@ FROZEN_COMPONENTS_19_5 = (
 # sectional curvature of the radial/axis coordinate plane at r=19, k=19
 FROZEN_RADIAL_AXIS_SECTIONAL = -1.1752641574406042
 
+# extremes of a 2000-sample four_d_model scan (k=19, seed 42) and their
+# coordinates, bit for bit as the chart gave them when it was a chart kind
+# of its own
+FROZEN_FOUR_D_SCAN_MAX = ("0x0.0p+0", [
+    "0x1.38d4c65945d8ap-6", "0x1.4a1cb7c2beef7p+1", "0x1.041a4f4512b77p+1",
+    "-0x1.059602828c584p-1"])
+FROZEN_FOUR_D_SCAN_MIN = ("-0x1.abdad50c79dcep+0", [
+    "0x1.f7c1f47de7e7dp+2", "0x1.8aae0dba3afd4p+1", "0x1.0bf062b45cc27p+1",
+    "-0x1.b14f7c08362acp-1"])
+
 # lowered-index positions of the six distinguished components in the
 # four-coordinate chart (r, theta, phi, z)
 COMPONENT_INDEX = {
@@ -153,6 +163,11 @@ class TestMetricTensor:
         chart = MetricChart.cartesian(hyperbolic_profile, 1)
         with pytest.raises(ChartDomainError, match=r"r = 400\b"):
             geometry.metric_tensor(chart.point([240.0, 320.0, 0.0]))
+
+    def test_empty_block_rejected(self, ramp19):
+        for build in (MetricChart.polar, MetricChart.cartesian):
+            with pytest.raises(ValueError):
+                build(ramp19, 0)
 
     def test_polar_rejects_axis(self, ramp19):
         chart = MetricChart.polar(ramp19, 1)
@@ -570,6 +585,12 @@ class TestScans:
         report = geometry.scan_nonpositive(four_d_19, 2000, seed=42)
         assert report.samples == 2000
         assert report.max_curvature <= 1e-9
+        for value, coords, frozen in (
+                (report.max_curvature, report.max_coords,
+                 FROZEN_FOUR_D_SCAN_MAX),
+                (report.min_curvature, report.min_coords,
+                 FROZEN_FOUR_D_SCAN_MIN)):
+            assert (value.hex(), [c.hex() for c in coords]) == frozen
 
     def test_hyperbolic_scan_pinned_at_minus_one(self, hyperbolic_profile):
         for chart in (MetricChart.four_d_model(hyperbolic_profile),

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fatflat"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fatflat"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -55,12 +56,20 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(source) == ["os (line 2)"]
 
 
-def test_no_unused_imports_in_src():
-    modules = sorted(SRC.glob("*.py"))
+def unused_imports_by_file(directory: Path) -> dict[str, list[str]]:
+    modules = sorted(directory.glob("*.py"))
     assert modules
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in modules}
-    assert not {name: names for name, names in found.items() if names}
+    return {name: names for name, names in found.items() if names}
+
+
+def test_no_unused_imports_in_src():
+    assert not unused_imports_by_file(SRC)
+
+
+def test_no_unused_imports_in_tests():
+    assert not unused_imports_by_file(TESTS)
 
 
 def test_checker_flags_an_unreferenced_private_definition():
