@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "FqElement",
     "QuadExtElement",
     "FqMatrix",
     "FormSpec",
@@ -140,37 +139,7 @@ def find_generator(q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# residue and quadratic-extension elements
-
-
-@dataclass(frozen=True)
-class FqElement:
-    """Residue in [0, q) for an odd prime modulus."""
-
-    value: int
-    q: int
-
-    def __post_init__(self):
-        _require_odd_prime(self.q)
-        if not 0 <= self.value < self.q:
-            raise ValueError(f"residue {self.value} outside [0, {self.q})")
-
-    def __add__(self, other: "FqElement") -> "FqElement":
-        self._check(other)
-        return FqElement((self.value + other.value) % self.q, self.q)
-
-    def __mul__(self, other: "FqElement") -> "FqElement":
-        self._check(other)
-        return FqElement(self.value * other.value % self.q, self.q)
-
-    def inverse(self) -> "FqElement":
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return FqElement(pow(self.value, -1, self.q), self.q)
-
-    def _check(self, other: "FqElement") -> None:
-        if self.q != other.q:
-            raise ValueError("mixed moduli")
+# quadratic-extension elements
 
 
 @dataclass(frozen=True)
@@ -345,19 +314,17 @@ class FqMatrix:
         return c0 if self.size % 2 == 0 else (-c0) % self.q
 
 
-def element_order(m: FqMatrix, bound: Optional[int] = None) -> Optional[int]:
-    """Least s <= bound with m^s = identity, by repeated multiplication.
+def element_order(m: FqMatrix) -> Optional[int]:
+    """Least s <= q^2 with m^s = identity, by repeated multiplication.
 
-    Default bound q^2 comfortably covers the orders q - 1 and q + 1 the
+    The bound q^2 comfortably covers the orders q - 1 and q + 1 the
     constructions here can produce; returns None when no power within the
     bound is the identity.
     """
-    if bound is None:
-        bound = m.q * m.q
     if m.det() == 0:
         raise ValueError("matrix must be invertible")
     acc = m
-    for s in range(1, bound + 1):
+    for s in range(1, m.q * m.q + 1):
         if acc.is_identity:
             return s
         acc = acc @ m

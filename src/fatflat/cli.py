@@ -29,7 +29,7 @@ from .geometry import MetricChart
 from .profiles import WarpingProfile, verify_profile
 from .rng import sample_stream, stream
 
-__all__ = ["RunConfig", "CheckResult", "VerificationReport", "run", "main"]
+__all__ = ["CheckResult", "VerificationReport", "run", "main"]
 
 
 def _package_version() -> str:
@@ -55,23 +55,12 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: command, canonical flag map, seed, output."""
-
-    command: str
-    flags: Mapping[str, str]
-    seed: int
-    out_path: str | None
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     command: str
     parameters: Mapping[str, str]
     seed: int
     version: str
     checks: tuple[CheckResult, ...]
-    wall_time: float | None = None
 
     @property
     def all_passed(self) -> bool:
@@ -360,12 +349,9 @@ def _run_verify_curvature(cfg: Mapping[str, object]) -> list[CheckResult]:
         point = chart4.point(coords)
         fd = geometry.riemann_fd(point)
         comps = geometry.curvature_components_closed_form(profile, r, th)
-        by_name = dict(zip(
-            ("theta_r", "phi_r", "z_r", "phi_theta", "theta_z", "phi_z"),
-            comps.as_tuple()))
         scale = max(1.0, max(abs(v) for v in comps.as_tuple()))
         for name, idx in _COMPONENT_INDICES:
-            rel = abs(float(fd[idx]) - by_name[name]) / scale
+            rel = abs(float(fd[idx]) - getattr(comps, name)) / scale
             if rel > worst_rel:
                 worst_rel = rel
                 worst_loc = (f"{name}@r={_format_float(r)},"
@@ -471,6 +457,7 @@ def _run_holonomy(cfg: Mapping[str, object]) -> list[CheckResult]:
     hol = cylinder.core_holonomy(cyl, step=float(cfg["step"]))
     expected = cyl.rho.matrix()
     diff = float(np.linalg.norm(hol - expected))
+    defect = float(np.linalg.norm(hol.T @ hol - np.eye(hol.shape[0])))
     angle_text = ",".join(_format_float(a) for a in cyl.rho.angles)
     return [
         CheckResult(
@@ -481,10 +468,8 @@ def _run_holonomy(cfg: Mapping[str, object]) -> list[CheckResult]:
         ),
         CheckResult(
             name="cylinder.core_holonomy_orthogonal",
-            passed=float(np.linalg.norm(hol.T @ hol - np.eye(hol.shape[0])))
-            <= float(cfg["tol"]),
-            worst_value=float(
-                np.linalg.norm(hol.T @ hol - np.eye(hol.shape[0]))),
+            passed=defect <= float(cfg["tol"]),
+            worst_value=defect,
             location=f"angles=({angle_text})",
         ),
     ]
@@ -705,6 +690,8 @@ def _run_flats_hausdorff(cfg: Mapping[str, object]) -> list[CheckResult]:
         y = flats.PointCloud.from_csv(second_path)
         d_xy = flats.hausdorff_distance(x, y)
         d_yx = flats.hausdorff_distance(y, x)
+        d_xx = flats.hausdorff_distance(x, x)
+        d_yy = flats.hausdorff_distance(y, y)
         return [
             CheckResult(
                 name="flats.hausdorff_symmetry",
@@ -714,10 +701,8 @@ def _run_flats_hausdorff(cfg: Mapping[str, object]) -> list[CheckResult]:
             ),
             CheckResult(
                 name="flats.hausdorff_identity",
-                passed=flats.hausdorff_distance(x, x) == 0.0
-                and flats.hausdorff_distance(y, y) == 0.0,
-                worst_value=max(flats.hausdorff_distance(x, x),
-                                flats.hausdorff_distance(y, y)),
+                passed=d_xx == 0.0 and d_yy == 0.0,
+                worst_value=max(d_xx, d_yy),
                 location="self-distance",
             ),
         ]
@@ -1024,15 +1009,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
 
     out_path = str(cfg.get("out") or "")
-    seed = int(cfg.get("seed", 0))
-    flags = {
-        opt.name: _canonical(cfg[opt.name])
-        for opt in command.options
-        if opt.name not in ("out", "config")
-    }
-    config = RunConfig(command=command.name, flags=flags, seed=seed,
-                       out_path=out_path or None)
-
     started = time.perf_counter()
     try:
         # ChartDomainError, DegenerateBodyError, and ParallelStripsError are
@@ -1048,24 +1024,25 @@ def run(argv: Sequence[str] | None = None) -> int:
     wall = time.perf_counter() - started
 
     if isinstance(outcome, str):
-        _write_output(outcome, config.out_path)
+        _write_output(outcome, out_path)
         print(f"wall_time: {wall:.6f}s", file=sys.stderr)
         return 0
 
     report = VerificationReport(
-        command=config.command,
-        parameters=config.flags,
-        seed=config.seed,
+        command=command.name,
+        parameters={opt.name: _canonical(cfg[opt.name])
+                    for opt in command.options
+                    if opt.name not in ("out", "config")},
+        seed=int(cfg.get("seed", 0)),
         version=_package_version(),
         checks=tuple(outcome),
-        wall_time=wall,
     )
-    _write_output(canonical_json(report.payload()) + "\n", config.out_path)
+    _write_output(canonical_json(report.payload()) + "\n", out_path)
     print(f"wall_time: {wall:.6f}s", file=sys.stderr)
     return 0 if report.all_passed else 1
 
 
-def _write_output(text: str, out_path: str | None) -> None:
+def _write_output(text: str, out_path: str) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)

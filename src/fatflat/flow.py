@@ -24,8 +24,11 @@ right place to integrate whenever an orbit may approach radius zero; the
 diagonal charts are cheaper and better conditioned at large radius.  The
 integrator raises :class:`ChartExitError` when a trajectory leaves the
 region where its chart is trustworthy so the caller can switch charts and
-resume (see :func:`switch_chart` and :func:`preferred_kind`), and when its
-state stops being finite.
+resume (see :func:`switch_chart`), and when its state stops being finite.
+The policy in use is ``fatflat.cylinder._integrate_radius_profile``'s: a
+diagonal chart hands over to the Cartesian one on such an exit, below
+``POLAR_EXIT_RADIUS``, and an orbit goes back to the diagonal chart only
+once it is past twice that radius.
 """
 
 from __future__ import annotations
@@ -60,13 +63,13 @@ __all__ = [
     "DEFAULT_STEP",
     "POLAR_EXIT_RADIUS",
     "ANGLE_EXIT_MARGIN",
+    "RICCATI_RECORD_EVERY",
     "integrate_geodesic",
     "parallel_transport",
     "riccati_expansion",
     "kinetic_energy",
     "normalize_velocity",
     "switch_chart",
-    "preferred_kind",
 ]
 
 DEFAULT_STEP = 1e-3
@@ -76,6 +79,9 @@ DEFAULT_STEP = 1e-3
 # and like cot(theta) near the angular poles.
 POLAR_EXIT_RADIUS = 1e-2
 ANGLE_EXIT_MARGIN = 1e-3
+
+# riccati_expansion records the trace of U every this many steps
+RICCATI_RECORD_EVERY = 100
 
 
 class ChartExitError(RuntimeError):
@@ -185,13 +191,18 @@ def _gram(chart: MetricChart, positions, vectors) -> np.ndarray:
     """Gram matrices g(v_i, v_j) of the stacks ``vectors`` (N, m, dim) at
     ``positions`` (N, dim): products of the vectors' adapted parts, each a
     (warp * rate) product squared only afterwards, so that a large warp
-    factor times a small rate stays an ordinary number."""
+    factor times a small rate stays an ordinary number.  Raises
+    :class:`ChartDomainError` at the first point whose Gram is not finite."""
     positions = np.asarray(positions, dtype=float)
-    sg, _, _, tu, _, _ = chart.profile.sigma_tau_many(
-        chart.radius_of(positions))
-    ar, a_s, az = adapted_components_raw(chart, positions, vectors, sg, tu)
-    a = np.concatenate([ar[..., None], a_s, az[..., None]], axis=-1)
-    return a @ a.mT
+    radii = chart.radius_of(positions)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sg, _, _, tu, _, _ = chart.profile.sigma_tau_many(radii)
+        a = adapted_components_raw(chart, positions, vectors, sg, tu)
+        gram = a @ a.mT
+    bad = np.flatnonzero(~np.isfinite(gram).all(axis=(-2, -1)))
+    if bad.size:
+        raise _overflow_error(radii[bad[0]])
+    return gram
 
 
 def kinetic_energy(chart: MetricChart, position, velocity) -> float:
@@ -433,32 +444,25 @@ def switch_chart(chart: MetricChart, state: PhaseState,
                      f"{chart.kind!r} -> {target.kind!r}")
 
 
-def preferred_kind(radius: float) -> str:
-    """Chart choice policy: regular chart near the axis, diagonal otherwise."""
-    return CARTESIAN if radius < POLAR_EXIT_RADIUS else POLAR
-
-
 # ---------------------------------------------------------------------------
 # parallel transport
 
 
-def parallel_transport(path: GeodesicPath, frame: Sequence[np.ndarray],
-                       step: Optional[float] = None) -> TransportResult:
+def parallel_transport(path: GeodesicPath,
+                       frame: Sequence[np.ndarray]) -> TransportResult:
     """Parallel-transport ``frame`` (based at the path start) to its end.
 
     The frame rides along the same RK4 stages as the base geodesic, which
-    is re-integrated from the path's initial sample at the path's step (or
-    ``step`` when given).  The state is one flat list of floats (position,
-    velocity, frame rows); each stage evaluates the chart's connection jet
-    once and calls its bilinear rates form -Gamma(v, .) on the velocity,
-    for the geodesic acceleration, and on each frame vector.
+    is re-integrated from the path's initial sample on the path's own grid.
+    The state is one flat list of floats (position, velocity, frame rows);
+    each stage evaluates the chart's connection jet once and calls its
+    bilinear rates form -Gamma(v, .) on the velocity, for the geodesic
+    acceleration, and on each frame vector.
     """
     chart = path.chart
     state = path.state(0)
-    if step is None:
-        step = path.step
     chart.point(state.position)
-    n_steps, h = _step_count(path.duration, step)
+    n_steps, h = _step_count(path.duration, path.step)
     guard = _exit_guard(chart, h)
     dim = chart.dim
 
@@ -486,10 +490,7 @@ def _normal_frame(chart: MetricChart, position: np.ndarray,
     """Metric-orthonormal basis of the normal space of ``velocity``, by
     Gram-Schmidt in chart coordinates against the metric's matrix."""
     dim = chart.dim
-    with np.errstate(over="ignore"):
-        g = _gram(chart, [position], [np.eye(dim)])[0]
-    if not np.isfinite(g).all():  # sigma^2 past r ~ 355
-        raise _overflow_error(chart.radius_of(position))
+    g = _gram(chart, [position], [np.eye(dim)])[0]  # raises past r ~ 355
     vnorm = float(velocity @ g @ velocity)
     if vnorm <= 0.0:
         raise ValueError("velocity must be nonzero")
@@ -515,18 +516,16 @@ def _gershgorin_upper(u: np.ndarray) -> float:
     return float(np.max(diag + radii))
 
 
-def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
-                      duration: Optional[float] = None,
-                      step: Optional[float] = None,
-                      record_every: int = 100) -> RiccatiResult:
+def riccati_expansion(path: GeodesicPath, c0: float = 1.0) -> RiccatiResult:
     """Integrate U' + U^2 + M(t) = 0 with U(0) = c0 * I along a geodesic.
 
-    The geodesic is re-integrated from the path's initial sample (defaults:
-    the path's own step and duration).  M(t) is the curvature operator
-    w -> R(w, v, w, v) restricted to a parallel orthonormal frame of the
-    velocity's normal space, built in closed form at each stage from one
-    radial jet: each principal curvature ratio times the Gram matrix of the
-    frame's shadows on its coordinate 2-plane.  Raises
+    The geodesic is re-integrated from the path's initial sample on the
+    path's own grid, and the trace of U is recorded every
+    ``RICCATI_RECORD_EVERY`` steps and at the end.  M(t) is the curvature
+    operator w -> R(w, v, w, v) restricted to a parallel orthonormal frame
+    of the velocity's normal space, built in closed form at each stage from
+    one radial jet: each principal curvature ratio times the Gram matrix of
+    the frame's shadows on its coordinate 2-plane.  Raises
     :class:`RiccatiBlowupError` as soon as an eigenvalue of U exceeds the
     reciprocal step, after which the fixed-step scheme cannot resolve the
     solution any further, and :class:`ChartExitError` when the orbit leaves
@@ -534,14 +533,10 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
     """
     chart = path.chart
     state = path.state(0)
-    if duration is None:
-        duration = path.duration
-    if step is None:
-        step = path.step
     chart.point(state.position)
     if c0 <= 0.0:
         raise ValueError("c0 must be positive")
-    n_steps, h = _step_count(duration, step)
+    n_steps, h = _step_count(path.duration, path.step)
     guard = _exit_guard(chart, h)
     profile = chart.profile
     dim = chart.dim
@@ -564,10 +559,8 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
         curvature = 0.0  # M vanishes wherever every principal ratio does
         if any(ratios):
             vw = np.array(y[dim:-1]).reshape(m + 1, dim)
-            ar, a_s, az = adapted_components_raw(chart, pos_, vw, jet[0],
-                                                 jet[3])
-            curvature = curvature_numerator(
-                ratios, (ar[1:], a_s[1:], az[1:]), (ar[0], a_s[0], az[0]))
+            a = adapted_components_raw(chart, pos_, vw, jet[0], jet[3])
+            curvature = curvature_numerator(ratios, a[1:], a[0])
         out.append(-(u_mat @ u_mat) - curvature)
         return out
 
@@ -588,7 +581,7 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0,
         if not np.all(np.isfinite(u_mat)):
             raise RiccatiBlowupError("comparison operator became non-finite",
                                      (i + 1) * h)
-        if (i + 1) % record_every == 0 or i + 1 == n_steps:
+        if (i + 1) % RICCATI_RECORD_EVERY == 0 or i + 1 == n_steps:
             rec_times.append((i + 1) * h)
             rec_traces.append(float(np.trace(u_mat)))
 

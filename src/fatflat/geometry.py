@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dualnum as dn
 from .profiles import (
     WarpingProfile,
     _ramp_blend,
@@ -542,11 +541,11 @@ def _adapted_vectors(chart: MetricChart, coords: np.ndarray,
     """Adapted parts of a batch of vector stacks, one radial jet per point.
 
     coords is (N, dim) and vecs (N, m, dim).  Returns (a, ratios, radii,
-    finite): a[p, i] concatenates the radial, sphere and axis parts of
-    vecs[p, i], so metric inner products are plain dot products of its
-    rows; ratios[p] holds the four principal ratios, all equal at isotropic
-    points; finite marks the points whose metric scales, and the squared
-    lengths of whose vectors, are finite.
+    finite): a[p, i] holds the adapted parts of vecs[p, i], so metric inner
+    products are plain dot products of its rows; ratios[p] holds the four
+    principal ratios, all equal at isotropic points; finite marks the
+    points whose metric scales, and the squared lengths of whose vectors,
+    are finite.
     """
     radii = chart.radius_of(coords)
     jets = np.array([_scales_and_ratios(chart.profile, r)
@@ -555,8 +554,7 @@ def _adapted_vectors(chart: MetricChart, coords: np.ndarray,
     if chart.kind == CARTESIAN:  # every plane near the axis reads k1
         ratios[radii < R_MIN] = ratios[radii < R_MIN, :1]
     with np.errstate(over="ignore", invalid="ignore"):
-        ar, a_s, az = adapted_components_raw(chart, coords, vecs, sigma, tau)
-        a = np.concatenate([ar[..., None], a_s, az[..., None]], axis=-1)
+        a = adapted_components_raw(chart, coords, vecs, sigma, tau)
         finite = (np.isfinite(sigma * sigma) & np.isfinite(tau * tau)
                   & np.all(np.isfinite(np.vecdot(a, a)), axis=-1))
     return a, ratios, radii, finite
@@ -580,10 +578,8 @@ def _plane_curvatures(a: np.ndarray, ratios: np.ndarray):
         a = a / np.sqrt(np.vecdot(a, a))[..., None]
         gram = a @ a.mT
         denom = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 0, 1]
-        u, v = a[:, :1], a[:, 1]
-        num = curvature_numerator(
-            ratios.T[..., None, None], (u[..., 0], u[..., 1:-1], u[..., -1]),
-            (v[..., 0], v[..., 1:-1], v[..., -1]))[:, 0, 0]
+        num = curvature_numerator(ratios.T[..., None, None], a[:, :1],
+                                  a[:, 1])[:, 0, 0]
         # where the four ratios agree (the flat tube, the hyperbolic piece,
         # the axis) every plane has that curvature
         isotropic = np.all(ratios == ratios[:, :1], axis=1)
@@ -671,13 +667,14 @@ def max_plane_curvature(profile: WarpingProfile, r: float) -> float:
 
 
 def adapted_components_raw(chart: MetricChart, coords: np.ndarray,
-                           vecs: np.ndarray, sigma, tau):
-    """Radial / sphere / axis parts (a_r, a_s, a_z) of the rows of ``vecs``
-    in an orthonormal frame adapted to the warped splitting, given sigma and
-    tau at the point; only inner products of sphere parts (rows of a_s) are
-    frame-independent.  Leading axes of coords, sigma and tau, and of vecs
-    before its row axis, index a batch of points.  This is the one metric
-    inner product: g(a, b) is the dot product of the parts of a and b."""
+                           vecs: np.ndarray, sigma, tau) -> np.ndarray:
+    """Adapted parts of the rows of ``vecs`` in an orthonormal frame adapted
+    to the warped splitting, given sigma and tau at the point: along the
+    last axis the radial part, the sphere part, then the axis part.  Only
+    inner products of sphere parts are frame-independent.  Leading axes of
+    coords, sigma and tau, and of vecs before its row axis, index a batch of
+    points.  This is the one metric inner product: g(a, b) is the dot
+    product of the parts of a and b."""
     vecs = np.asarray(vecs, dtype=float)
     sigma = np.asarray(sigma)[..., None]
     tau = np.asarray(tau)[..., None]
@@ -691,25 +688,29 @@ def adapted_components_raw(chart: MetricChart, coords: np.ndarray,
         xhat = np.where(axis, np.eye(d)[0], coords[..., :d] / r)
         ratio = np.where(axis, 1.0, sigma / r)
         vr = (vecs[..., :d] @ xhat[..., None])[..., 0]
-        perp = vecs[..., :d] - vr[..., None] * xhat[..., None, :]
-        return vr, ratio[..., None] * perp, vecs[..., d] * tau
-    sines = [np.sin(coords[..., j:j + 1]) for j in range(1, d - 1)]
-    a_s = np.empty(vecs.shape[:-1] + (d - 1,))
-    for i in range(d - 1):
-        # the part along a_(i+1) is (v_(i+1) sigma) sin a_1 ... sin a_i,
-        # multiplied left to right
-        part = vecs[..., 1 + i] * sigma
-        for sine in sines[:i]:
-            part = part * sine
-        a_s[..., i] = part
-    return vecs[..., 0], a_s, vecs[..., d] * tau
+        a_s = ratio[..., None] * (vecs[..., :d]
+                                  - vr[..., None] * xhat[..., None, :])
+    else:
+        vr = vecs[..., 0]
+        sines = [np.sin(coords[..., j:j + 1]) for j in range(1, d - 1)]
+        a_s = np.empty(vecs.shape[:-1] + (d - 1,))
+        for i in range(d - 1):
+            # the part along a_(i+1) is (v_(i+1) sigma) sin a_1 ... sin a_i,
+            # multiplied left to right
+            part = vecs[..., 1 + i] * sigma
+            for sine in sines[:i]:
+                part = part * sine
+            a_s[..., i] = part
+    az = vecs[..., d] * tau
+    return np.concatenate([vr[..., None], a_s, az[..., None]], axis=-1)
 
 
-def curvature_numerator(ratios, w_parts, v_parts) -> np.ndarray:
-    """M[i, j] = R(w_i, v, w_j, v) from the adapted parts of a stack of
-    vectors w_i and of one vector v; R(u, v, u, v) is the 1 x 1 case.
-    Leading axes of both sets of parts index a batch, and then each ratio
-    broadcasts against M (shape (..., 1, 1)).
+def curvature_numerator(ratios, w, v) -> np.ndarray:
+    """M[i, j] = R(w_i, v, w_j, v) from the adapted parts (as from
+    :func:`adapted_components_raw`) of a stack of vectors w_i and of one
+    vector v; R(u, v, u, v) is the 1 x 1 case.  Leading axes of w and v
+    index a batch, and then each ratio broadcasts against M (shape
+    (..., 1, 1)).
 
     Each principal ratio multiplies the Gram matrix of the planes' shadows
     on its coordinate 2-plane: rows w_r[i] v_s - v_r w_s[i] (k1), sphere
@@ -717,10 +718,8 @@ def curvature_numerator(ratios, w_parts, v_parts) -> np.ndarray:
     w_r[i] v_z - v_r w_z[i] (k3) and rows w_z[i] v_s - v_z w_s[i] (k4).
     """
     k1, k2, k3, k4 = ratios
-    wr, ws, wz = w_parts
-    vr, vs, vz = v_parts
-    vr = vr[..., None]
-    vz = vz[..., None]
+    wr, ws, wz = w[..., 0], w[..., 1:-1], w[..., -1]
+    vr, vs, vz = v[..., :1], v[..., 1:-1], v[..., -1:]
     p1 = wr[..., :, None] * vs[..., None, :] - vr[..., None] * ws
     a = (ws @ vs[..., :, None])[..., 0]
     p3 = wr * vz - vr * wz
@@ -736,16 +735,31 @@ def curvature_numerator(ratios, w_parts, v_parts) -> np.ndarray:
 # chart transforms
 # ---------------------------------------------------------------------------
 
-def _spherical_to_block(r, angles):
-    """Hyperspherical (r, angles) -> block coordinates; Dual-safe."""
-    d = len(angles) + 1
-    out = []
-    prefix = r
-    for i in range(d - 1):
-        out.append(prefix * dn.cos(angles[i]))
-        prefix = prefix * dn.sin(angles[i])
-    out.append(prefix)
-    return out
+def _polar_map(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cartesian coordinates of the polar coordinates (r, a_1..a_(d-1), z),
+    x_i = r sin a_1 ... sin a_(i-1) cos a_i on the block, and the map's
+    Jacobian.  Each column multiplies its derivative through the same
+    prefixes r sin a_1 ... sin a_i, left to right, as the map does."""
+    d = len(coords) - 1
+    r, *angles = coords[:d].tolist()
+    sines = [math.sin(a) for a in angles]
+    cosines = [math.cos(a) for a in angles]
+    prefix = [r]  # prefix[i] = r sin a_1 ... sin a_i
+    for sn in sines:
+        prefix.append(prefix[-1] * sn)
+    jac = np.eye(d + 1)
+    for k in range(d):
+        if k == 0:  # d/dr: the prefixes with r replaced by 1
+            dot = 1.0
+        else:
+            jac[k - 1, k] = prefix[k - 1] * -sines[k - 1]
+            dot = prefix[k - 1] * cosines[k - 1]
+        for i in range(k, d - 1):
+            jac[i, k] = dot * cosines[i]
+            dot = dot * sines[i]
+        jac[d - 1, k] = dot
+    x = [p * cs for p, cs in zip(prefix, cosines)] + [prefix[-1], coords[d]]
+    return np.array(x), jac
 
 
 def polar_to_cartesian(point: ChartPoint, velocity: np.ndarray | None = None):
@@ -755,30 +769,11 @@ def polar_to_cartesian(point: ChartPoint, velocity: np.ndarray | None = None):
     if chart.kind != POLAR:
         raise ChartDomainError("polar_to_cartesian needs a polar point")
     target = MetricChart(CARTESIAN, chart.block_dim, chart.profile)
-    d = chart.block_dim
-    coords = point.coords
-    x = _spherical_to_block(coords[0], list(coords[1:d]))
-    out = np.array([dn.value(c) for c in x] + [coords[d]])
-    new_point = ChartPoint(out, target)
+    x, jac = _polar_map(point.coords)
+    new_point = ChartPoint(x, target)
     if velocity is None:
         return new_point
-    jac = _polar_jacobian(chart, coords)
     return new_point, jac @ np.asarray(velocity, dtype=float)
-
-
-def _polar_jacobian(chart: MetricChart, coords: np.ndarray) -> np.ndarray:
-    """Jacobian of the polar -> Cartesian coordinate map."""
-    d = chart.block_dim
-    dim = chart.dim
-    jac = np.zeros((dim, dim))
-    for k in range(d):
-        args = [dn.lift(coords[j], 1.0 if j == k else 0.0) for j in range(d)]
-        col = _spherical_to_block(args[0], args[1:])
-        for i in range(d):
-            jac[i, k] = dn.value(col[i].dot if isinstance(col[i], dn.Dual)
-                                 else 0.0)
-    jac[d, d] = 1.0
-    return jac
 
 
 def cartesian_to_polar(point: ChartPoint, velocity: np.ndarray | None = None):
@@ -801,7 +796,7 @@ def cartesian_to_polar(point: ChartPoint, velocity: np.ndarray | None = None):
     new_point = target.point(coords)
     if velocity is None:
         return new_point
-    jac = _polar_jacobian(target, coords)
+    jac = _polar_map(coords)[1]
     vel = np.linalg.solve(jac, np.asarray(velocity, dtype=float))
     return new_point, vel
 

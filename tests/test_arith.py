@@ -7,7 +7,6 @@ from fatflat.arith import (
     EVEN_MINUS,
     EVEN_PLUS,
     ODD_DIM,
-    FqElement,
     FqMatrix,
     QuadExtElement,
     assemble_holonomy_element,
@@ -108,27 +107,6 @@ class TestFindGenerator:
         assert is_prime(1000003)
         with pytest.raises(ValueError):
             find_generator(1000003)
-
-
-class TestFqElement:
-    def test_arithmetic_wraps_modulus(self):
-        a = FqElement(3, 5)
-        b = FqElement(4, 5)
-        assert (a + b).value == 2
-        assert (a * b).value == 2
-        assert (a.inverse() * a).value == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FqElement(5, 5)
-        with pytest.raises(ValueError):
-            FqElement(-1, 5)
-        with pytest.raises(ValueError):
-            FqElement(1, 4)
-        with pytest.raises(ValueError):
-            FqElement(1, 5) + FqElement(1, 7)
-        with pytest.raises(ZeroDivisionError):
-            FqElement(0, 5).inverse()
 
 
 class TestQuadExtension:
@@ -301,7 +279,10 @@ class TestElementOrder:
         assert element_order(FqMatrix([[3, 1], [3, 3]], 5)) == 6
 
     def test_bound_too_small_returns_none(self):
-        assert element_order(FqMatrix([[2, 0], [0, 7]], 13), bound=5) is None
+        # the companion matrix of the primitive cubic t^3 - t + 1 over
+        # F_3 has order 3^3 - 1 = 26, past the bound q^2 = 9
+        companion = FqMatrix([[0, 0, 2], [1, 0, 1], [0, 1, 0]], 3)
+        assert element_order(companion) is None
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError):

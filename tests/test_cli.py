@@ -268,6 +268,17 @@ class TestGeodesicCommand:
         assert "overflow at r = 710." in err
         assert "OverflowError" not in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_start_returns_two(self, capsys):
+        # far from the axis: the metric at the start overflows, so the
+        # error names that radius rather than a near-axis chart exit
+        code = run(["geodesic", "--variant", "hyperbolic", "--position",
+                    "711,0.3,0", "--velocity", "1,0,0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow at r = 711:" in err
+
     def test_unknown_chart_rejected(self):
         assert run(["geodesic", "--chart", "spherical"]) == 2
 

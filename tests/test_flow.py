@@ -222,10 +222,6 @@ class TestGeodesics:
             flow.integrate_geodesic(polar_19, state, 1.0)
         assert err.value.time == 0.0
 
-    def test_chart_policy_thresholds(self):
-        assert flow.preferred_kind(0.005) == geometry.CARTESIAN
-        assert flow.preferred_kind(0.5) == geometry.POLAR
-
     def test_normalize_velocity(self, polar_19):
         position = [3.0, 1.0, 0.2]
         v = flow.normalize_velocity(polar_19, position, [0.2, 0.01, 0.5])
@@ -267,6 +263,22 @@ class TestGeodesics:
             calls[run]()
         radius = float(re.search(r"at r = ([\d.]+)", str(err.value))[1])
         assert 700.0 <= radius < 711.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gram_is_a_typed_error(self, hyperbolic_profile):
+        # at r = 711 sinh and cosh leave double range: a purely radial
+        # velocity still meets 0 * inf in its sphere parts, so the Gram is
+        # NaN; no numpy warning may come out before the error
+        chart = MetricChart.polar(hyperbolic_profile, 2)
+        start = np.array([711.0, 1.0, 1.0, 0.3, 0.0])
+        radial = np.eye(5)[0]
+        path = flow.GeodesicPath(chart, 1e-3, np.array([0.0, 1.0]),
+                                 np.array([start, start]),
+                                 np.array([radial, radial]))
+        with pytest.raises(geometry.ChartDomainError, match="at r = 711:"):
+            flow.kinetic_energy(chart, start, radial)
+        with pytest.raises(geometry.ChartDomainError, match="at r = 711:"):
+            flow.parallel_transport(path, np.eye(5))
 
     def test_four_d_model_geodesic_bit_for_bit(self, four_d_19):
         state = unit_state(four_d_19, [12.0, 1.1, 0.7, 0.3],
@@ -628,7 +640,9 @@ class TestComparisonOperator:
         trace = float(np.trace(result.u_final))
         assert trace == pytest.approx(FROZEN_CROSSING_TRACE, abs=1e-8)
 
-        coarse = flow.riccati_expansion(path, c0=1.0, step=2e-3)
+        coarse = flow.riccati_expansion(
+            flow.integrate_geodesic(polar_19, state, 20.0, step=2e-3,
+                                    record_every=10 ** 9), c0=1.0)
         assert float(np.trace(coarse.u_final)) == pytest.approx(trace,
                                                                 abs=5e-9)
 
@@ -667,10 +681,10 @@ class TestComparisonOperator:
         # U(0) = 2000 I already exceeds 1/step = 1000
         state = PhaseState(np.array([10.0, 0.0, 0.0]),
                            np.array([1.0, 0.0, 0.0]))
-        path = flow.integrate_geodesic(polar_19, state, 1.0,
+        path = flow.integrate_geodesic(polar_19, state, 1.0, step=1e-3,
                                        record_every=10 ** 9)
         with pytest.raises(flow.RiccatiBlowupError) as err:
-            flow.riccati_expansion(path, c0=2000.0, step=1e-3)
+            flow.riccati_expansion(path, c0=2000.0)
         assert err.value.time == 0.0
 
     def test_nonpositive_c0_rejected(self, polar_19):

@@ -144,9 +144,8 @@ class TestMetricTensor:
                               0.3])
                 vecs = rng.standard_normal((3, chart.dim))
                 st = profile.sigma_tau(chart.radius_of(x))
-                ar, a_s, az = geometry.adapted_components_raw(
-                    chart, x, vecs, st[0], st[3])
-                a = np.concatenate([ar[:, None], a_s, az[:, None]], axis=1)
+                a = geometry.adapted_components_raw(chart, x, vecs, st[0],
+                                                    st[3])
                 g = geometry.metric_tensor(chart.point(x))
                 assert_close(a @ a.T, vecs @ g @ vecs.T, abs_tol=1e-14)
 
@@ -350,11 +349,11 @@ class TestClosedFormComponents:
 # curvature operator M[i, j] = R(w_i, v, w_j, v)
 # ---------------------------------------------------------------------------
 
-def polarized_operator(ratios, w_parts, v_parts):
+def polarized_operator(ratios, w, v):
     """M by polarization of the scalar shadow-area numerator R(w, v, w, v):
     the route the closed form in curvature_numerator replaced."""
     k1, k2, k3, k4 = ratios
-    vr, vs, vz = v_parts
+    vr, vs, vz = v[0], v[1:-1], v[-1]
 
     def q(ur, us, uz):
         return (k1 * np.sum((ur * vs - vr * us) ** 2)
@@ -363,7 +362,7 @@ def polarized_operator(ratios, w_parts, v_parts):
                 + k3 * (ur * vz - vr * uz) ** 2
                 + k4 * np.sum((uz * vs - vz * us) ** 2))
 
-    wr, ws, wz = w_parts
+    wr, ws, wz = w[:, 0], w[:, 1:-1], w[:, -1]
     m = len(wr)
     out = np.empty((m, m))
     for i in range(m):
@@ -394,12 +393,10 @@ def operator_point(profile, kind, r, rng):
 
 def closed_form_operator(chart, coords, v, w_rows):
     jet, ratios = chart.profile.jet_ratios(chart.radius_of(coords))
-    ar, a_s, az = geometry.adapted_components_raw(
+    a = geometry.adapted_components_raw(
         chart, coords, np.vstack([v, w_rows]), jet[0], jet[3])
-    w_parts = (ar[1:], a_s[1:], az[1:])
-    v_parts = (ar[0], a_s[0], az[0])
-    return (geometry.curvature_numerator(ratios, w_parts, v_parts),
-            polarized_operator(ratios, w_parts, v_parts))
+    return (geometry.curvature_numerator(ratios, a[1:], a[0]),
+            polarized_operator(ratios, a[1:], a[0]))
 
 
 OPERATOR_CHARTS = ("polar1", "polar2", "four_d", "cartesian")
@@ -574,6 +571,35 @@ class TestSectionalCurvature:
             geometry.sectional_curvature(geometry.plane(point, u, 2.0 * u))
         with pytest.raises(DegeneratePlaneError):
             geometry.plane(point, u[:3], u[:3])
+
+
+# ---------------------------------------------------------------------------
+# chart maps
+# ---------------------------------------------------------------------------
+
+class TestChartMaps:
+    @pytest.mark.parametrize("block_dim", [2, 3, 4, 6])
+    def test_jacobian_is_the_derivative_of_the_map(self, block_dim):
+        # central differences of the polar -> Cartesian map, and orthogonal
+        # columns of norms 1, r, r sin a_1, ..., r sin a_1 ... sin a_(d-2)
+        # for (r, a_1, ..., a_(d-1)), then 1 for z
+        rng = np.random.default_rng(block_dim)
+        h = 1e-6
+        for _ in range(5):
+            r = rng.uniform(0.1, 20.0)
+            angles = [*rng.uniform(0.2, math.pi - 0.2, block_dim - 2),
+                      rng.uniform(0.0, 2 * math.pi)]
+            coords = np.array([r, *angles, rng.uniform(-1.0, 1.0)])
+            _, jac = geometry._polar_map(coords)
+            fd = np.empty_like(jac)
+            for k, step in enumerate(h * np.eye(len(coords))):
+                fd[:, k] = (geometry._polar_map(coords + step)[0]
+                            - geometry._polar_map(coords - step)[0]) / (2 * h)
+            assert_close(jac, fd, abs_tol=1e-8 * r)
+            norms = [1.0] + [r * math.prod(np.sin(angles[:j]))
+                             for j in range(block_dim - 1)] + [1.0]
+            assert_close(jac.T @ jac, np.diag(np.square(norms)),
+                         abs_tol=1e-13 * r * r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""Source hygiene checks that need only the standard library."""
+"""Source hygiene checks: the source checks need only the standard
+library; the export check imports each module of the package."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -87,3 +90,24 @@ def test_no_unreferenced_private_definitions_in_src():
                for path in sorted(SRC.glob("*.py"))}
     assert sources
     assert unreferenced_private(sources) == []
+
+
+def unresolved_exports(module: types.ModuleType) -> list[str]:
+    """Names in ``module.__all__`` that the module does not define."""
+    return [name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)]
+
+
+def test_checker_flags_a_stale_export():
+    module = types.ModuleType("synthetic")
+    exec("__all__ = ['kept', 'deleted']\nkept = 1\n", module.__dict__)
+    assert unresolved_exports(module) == ["deleted"]
+
+
+def test_every_export_in_src_resolves():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    stale = {path.stem: unresolved_exports(
+        importlib.import_module(f"fatflat.{path.stem}"))
+        for path in modules if path.stem != "__init__"}
+    assert {name: names for name, names in stale.items() if names} == {}
