@@ -141,11 +141,19 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _float(text: str) -> float:
+    """float(text), finite: nan and inf parse but are never valid input."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     items = [p for p in text.split(",") if p.strip() != ""]
     if not items:
         raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(p) for p in items)
+    return tuple(_float(p) for p in items)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -213,12 +221,12 @@ def _merge_config(options: Sequence[Option],
     merged: dict[str, object] = {}
     for opt in options:
         raw = cli_values.get(opt.name)
-        if raw is not None:
-            merged[opt.name] = opt.parse(raw)
-        elif opt.name in file_values:
-            merged[opt.name] = opt.parse(file_values[opt.name])
-        else:
-            merged[opt.name] = opt.default
+        if raw is None:
+            raw = file_values.get(opt.name)
+        try:
+            merged[opt.name] = opt.default if raw is None else opt.parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"--{opt.name}: {exc}") from None
     merged["config"] = config_path
     return merged
 
@@ -241,10 +249,10 @@ def _profile_from(cfg: Mapping[str, object]) -> WarpingProfile:
 
 _VERIFY_PROFILE_OPTS = _COMMON + (
     Option("variant", str, "interpolated", "profile family"),
-    Option("k", float, 19.0, "interpolation sharpness"),
-    Option("grid-max", float, 60.0, "largest grid radius"),
-    Option("grid-step", float, 1e-3, "grid spacing"),
-    Option("slack", float, 1e-10, "allowed negativity in the inequalities"),
+    Option("k", _float, 19.0, "interpolation sharpness"),
+    Option("grid-max", _float, 60.0, "largest grid radius"),
+    Option("grid-step", _float, 1e-3, "grid spacing"),
+    Option("slack", _float, 1e-10, "allowed negativity in the inequalities"),
 )
 
 
@@ -268,14 +276,14 @@ def _run_verify_profile(cfg: Mapping[str, object]) -> list[CheckResult]:
 
 
 _VERIFY_CURVATURE_OPTS = _COMMON + (
-    Option("k", float, 19.0, "interpolation sharpness"),
+    Option("k", _float, 19.0, "interpolation sharpness"),
     Option("samples", int, 10000, "random (point, plane) samples per chart"),
-    Option("r-max", float, 45.0, "largest sampled radius"),
+    Option("r-max", _float, 45.0, "largest sampled radius"),
     Option("grid", int, 1000, "(r, theta) grid size for closed forms"),
     Option("fd-samples", int, 25, "finite-difference comparison points"),
-    Option("scan-tol", float, 1e-9, "allowed positive curvature in scans"),
-    Option("component-tol", float, 1e-12, "allowed positive closed-form value"),
-    Option("fd-tol", float, 1e-5, "relative finite-difference tolerance"),
+    Option("scan-tol", _float, 1e-9, "allowed positive curvature in scans"),
+    Option("component-tol", _float, 1e-12, "allowed positive closed-form value"),
+    Option("fd-tol", _float, 1e-5, "relative finite-difference tolerance"),
 )
 
 # CurvatureComponents fields -> covariant index quadruples in the
@@ -369,13 +377,13 @@ def _run_verify_curvature(cfg: Mapping[str, object]) -> list[CheckResult]:
 
 _GEODESIC_OPTS = _COMMON + (
     Option("variant", str, "interpolated", "profile family"),
-    Option("k", float, 19.0, "interpolation sharpness"),
+    Option("k", _float, 19.0, "interpolation sharpness"),
     Option("n", int, 1, "sphere-factor half-dimension"),
     Option("chart", str, "polar", "integration chart: polar or cartesian"),
     Option("position", _parse_floats, (0.05, 0.0, 0.0), "start coordinates"),
     Option("velocity", _parse_floats, (0.1, 0.2, 1.0), "start velocity"),
-    Option("duration", float, 10.0, "integration time"),
-    Option("step", float, flow.DEFAULT_STEP, "integrator step"),
+    Option("duration", _float, 10.0, "integration time"),
+    Option("step", _float, flow.DEFAULT_STEP, "integrator step"),
     Option("record-every", int, 10, "sample recording stride"),
     Option("normalize", _parse_bool, True, "rescale start velocity to unit speed"),
 )
@@ -429,12 +437,12 @@ def _run_geodesic(cfg: Mapping[str, object]) -> str:
 
 
 _HOLONOMY_OPTS = _COMMON + (
-    Option("k", float, 19.0, "interpolation sharpness"),
+    Option("k", _float, 19.0, "interpolation sharpness"),
     Option("n", int, 1, "number of rotation blocks"),
-    Option("length", float, 1.0, "translation length of the screw motion"),
+    Option("length", _float, 1.0, "translation length of the screw motion"),
     Option("angles", _parse_floats, (1.0,), "rotation angles per block"),
-    Option("step", float, flow.DEFAULT_STEP, "transport integrator step"),
-    Option("tol", float, 1e-8, "allowed Frobenius distance"),
+    Option("step", _float, flow.DEFAULT_STEP, "transport integrator step"),
+    Option("tol", _float, 1e-8, "allowed Frobenius distance"),
 )
 
 
@@ -476,12 +484,12 @@ def _run_holonomy(cfg: Mapping[str, object]) -> list[CheckResult]:
 
 
 _CLOSING_OPTS = _COMMON + (
-    Option("k", float, 19.0, "interpolation sharpness"),
-    Option("length", float, 1.0, "translation length of the screw motion"),
+    Option("k", _float, 19.0, "interpolation sharpness"),
+    Option("length", _float, 1.0, "translation length of the screw motion"),
     Option("angles", _parse_floats, (0.0,), "rotation angles per block"),
-    Option("radius", float, 0.01, "start radius inside the flat tube"),
+    Option("radius", _float, 0.01, "start radius inside the flat tube"),
     Option("periods", int, 10, "largest winding count scanned"),
-    Option("close-tol", float, cylinder.DEFAULT_CLOSE_TOL,
+    Option("close-tol", _float, cylinder.DEFAULT_CLOSE_TOL,
            "return distance counted as closed"),
 )
 
@@ -557,7 +565,7 @@ _EIGEN_OPTS = _COMMON + (
     Option("angles", _parse_floats, (1.0,), "rotation angles per block"),
     Option("periods", int, cylinder.DEFAULT_S_MAX,
            "largest winding count scanned"),
-    Option("tol", float, 1e-9, "angular distance counted as a fixed direction"),
+    Option("tol", _float, 1e-9, "angular distance counted as a fixed direction"),
 )
 
 
@@ -676,7 +684,8 @@ _HAUSDORFF_OPTS = _COMMON + (
     Option("triples", int, 1000, "random metric-axiom triples"),
     Option("cloud-size", int, 40, "points per random cloud"),
     Option("dim", int, 3, "ambient dimension of random clouds"),
-    Option("triangle-tol", float, 1e-12, "allowed triangle-inequality defect"),
+    Option("triangle-tol", _float, 1e-12,
+           "allowed triangle-inequality defect"),
 )
 
 
@@ -754,9 +763,9 @@ def _run_flats_hausdorff(cfg: Mapping[str, object]) -> list[CheckResult]:
 _TRANSLATION_OPTS = _COMMON + (
     Option("body", str, "square", "square, disk256, or a CSV vertex file"),
     Option("shift", _parse_floats, (0.5, 0.0), "translation vector"),
-    Option("rotate", float, 0.0, "extra rotation about the body centroid"),
+    Option("rotate", _float, 0.0, "extra rotation about the body centroid"),
     Option("samples", int, flats.DEFAULT_SAMPLES, "Monte-Carlo samples"),
-    Option("threshold", float, 1e-2,
+    Option("threshold", _float, 1e-2,
            "translational part above which strict increase is demanded"),
 )
 
@@ -828,13 +837,13 @@ def _run_flats_translation(cfg: Mapping[str, object]) -> list[CheckResult]:
 
 
 _THICKEN_OPTS = _COMMON + (
-    Option("delta", float, 1.0, "half-width of the first strip"),
-    Option("delta2", float, 0.0, "half-width of the second strip (0: same)"),
-    Option("theta", float, 0.01, "crossing angle for the main construction"),
+    Option("delta", _float, 1.0, "half-width of the first strip"),
+    Option("delta2", _float, 0.0, "half-width of the second strip (0: same)"),
+    Option("theta", _float, 0.01, "crossing angle for the main construction"),
     Option("thetas", _parse_floats, (0.1, 0.05, 0.02, 0.01, 0.005),
            "angles for the length-monotonicity sweep"),
     Option("grid", int, 100, "grid resolution per box side"),
-    Option("membership-tol", float, 1e-9, "strip membership tolerance"),
+    Option("membership-tol", _float, 1e-9, "strip membership tolerance"),
 )
 
 

@@ -8,13 +8,14 @@ a pure function of (chart, initial state, duration, step).
 
 Geodesics, parallel frames and the comparison operator all run through one
 RK4 driver over one flat state of Python floats (position, velocity, frame
-rows; the comparison operator U rides along as one array).  Each stage
+rows, then the m x m entries of the comparison operator U).  Each stage
 evaluates the chart's connection jet once; one bilinear form per chart
 kind, called on one vector at a time, gives the acceleration -Gamma(v, v)
 and every frame vector's transport rate -Gamma(v, w).  The comparison
-operator's curvature term M is built in closed form from one radial jet per
-stage: the profile's four principal ratios times Gram matrices of the
-frame's adapted components (see :func:`fatflat.geometry.curvature_numerator`).
+operator's curvature term M is built in closed form and in plain floats
+from one radial jet per stage: the profile's four principal ratios times
+Gram matrices of the frame's adapted components, grouped as in
+:func:`fatflat.geometry.curvature_numerator`; only U U is a numpy product.
 
 Every metric inner product g(a, b) is the dot product of the adapted parts
 of a and b (see :func:`fatflat.geometry.adapted_components_raw`).
@@ -35,6 +36,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,14 +46,15 @@ import numpy as np
 from .geometry import (
     CARTESIAN,
     POLAR,
+    R_MIN,
     ChartDomainError,
     ChartPoint,
     MetricChart,
     adapted_components_raw,
     axis_coefficients,
+    axis_jet_ratios,
     cartesian_to_polar,
     christoffel,
-    curvature_numerator,
     polar_to_cartesian,
 )
 
@@ -491,29 +496,92 @@ def _normal_frame(chart: MetricChart, position: np.ndarray,
     Gram-Schmidt in chart coordinates against the metric's matrix."""
     dim = chart.dim
     g = _gram(chart, [position], [np.eye(dim)])[0]  # raises past r ~ 355
-    vnorm = float(velocity @ g @ velocity)
-    if vnorm <= 0.0:
-        raise ValueError("velocity must be nonzero")
-    basis = [velocity / math.sqrt(vnorm)]
-    for cand in np.eye(dim):
-        for b in basis:
-            cand = cand - float(cand @ g @ b) * b
-        nrm = float(cand @ g @ cand)
-        if nrm > 1e-12:
-            basis.append(cand / math.sqrt(nrm))
-        if len(basis) == dim:
-            break
+    # a velocity too fast for g(v, v) is left to the integrators' checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        vnorm = float(velocity @ g @ velocity)
+        if vnorm <= 0.0:
+            raise ValueError("velocity must be nonzero")
+        basis = [velocity / math.sqrt(vnorm)]
+        for cand in np.eye(dim):
+            for b in basis:
+                cand = cand - float(cand @ g @ b) * b
+            nrm = float(cand @ g @ cand)
+            if nrm > 1e-12:
+                basis.append(cand / math.sqrt(nrm))
+            if len(basis) == dim:
+                break
     if len(basis) != dim:
         raise RuntimeError("failed to complete an orthonormal frame")
     return np.array(basis[1:])
 
 
-def _gershgorin_upper(u: np.ndarray) -> float:
-    """Cheap upper bound for the largest eigenvalue of a symmetric matrix;
-    the exact eigvalsh only runs when this bound crosses the threshold."""
-    diag = np.diag(u)
-    radii = np.sum(np.abs(u), axis=1) - np.abs(diag)
-    return float(np.max(diag + radii))
+def _adapted_parts(chart: MetricChart, rows: int) -> Callable:
+    """parts(y, r, sigma, tau): the adapted parts (radial, sphere, axis) of
+    the ``rows`` vectors after the position in the flat state y, in plain
+    floats, formed as :func:`geometry.adapted_components_raw` forms them."""
+    d, dim = chart.block_dim, chart.dim
+    starts = range(dim, (1 + rows) * dim, dim)
+    if chart.kind == CARTESIAN:
+        def parts(y, r, sigma, tau):
+            # the metric is isotropic within R_MIN of the axis: there any
+            # unit radial direction with sigma/r = 1 gives its inner products
+            if r < R_MIN:
+                xhat, ratio = [1.0] + [0.0] * (d - 1), 1.0
+            else:
+                xhat, ratio = [e / r for e in y[:d]], sigma / r
+            out = []
+            for k in starts:
+                vr = _dot(vb := y[k:k + d], xhat)
+                out.append([vr, *(ratio * (e - vr * x) for e, x in
+                                  zip(vb, xhat)), y[k + d] * tau])
+            return out
+
+        return parts
+
+    def parts(y, r, sigma, tau):
+        sines = [math.sin(a) for a in y[1:d - 1]]
+        out = []
+        for k in starts:
+            row = [y[k]]
+            for i in range(d - 1):
+                # the part along a_(i+1) is (v_(i+1) sigma) sin a_1 ... sin
+                # a_i, multiplied left to right
+                part = y[k + 1 + i] * sigma
+                for sine in sines[:i]:
+                    part *= sine
+                row.append(part)
+            row.append(y[k + d] * tau)
+            out.append(row)
+        return out
+
+    return parts
+
+
+def _curvature_term(ratios, parts) -> list:
+    """M[i, j] = R(w_i, v, w_j, v), row-major, from the adapted parts
+    [v, w_1, ..., w_m] in plain floats: the sum k1 P1 + k2 (vv S - a a^T)
+    + k3 P3 + k4 P4 of :func:`geometry.curvature_numerator`, grouped as it
+    groups it, each of its matrix products a dot product from 0.0."""
+    k1, k2, k3, k4 = ratios
+    (vr, *vs, vz), rows = parts[0], parts[1:]
+    vv = _dot(vs, vs)
+    ws, p1, a, p3, p4 = [], [], [], [], []
+    for wr, *w, wz in rows:
+        ws.append(w)
+        p1.append([wr * e - vr * f for e, f in zip(vs, w)])
+        a.append(_dot(w, vs))
+        p3.append(wr * vz - vr * wz)
+        p4.append([wz * e - vz * f for e, f in zip(vs, w)])
+    m = len(rows)
+    out = [0.0] * (m * m)
+    for i in range(m):  # M is symmetric: each product commutes
+        for j in range(i, m):
+            out[i * m + j] = out[j * m + i] = (
+                k1 * _dot(p1[i], p1[j])
+                + k2 * (vv * _dot(ws[i], ws[j]) - a[i] * a[j])
+                + k3 * (p3[i] * p3[j])
+                + k4 * _dot(p4[i], p4[j]))
+    return out
 
 
 def riccati_expansion(path: GeodesicPath, c0: float = 1.0) -> RiccatiResult:
@@ -525,7 +593,8 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0) -> RiccatiResult:
     operator w -> R(w, v, w, v) restricted to a parallel orthonormal frame
     of the velocity's normal space, built in closed form at each stage from
     one radial jet: each principal curvature ratio times the Gram matrix of
-    the frame's shadows on its coordinate 2-plane.  Raises
+    the frame's shadows on its coordinate 2-plane.  U rides in the flat
+    float state after the frame rows; only U U is a numpy product.  Raises
     :class:`RiccatiBlowupError` as soon as an eigenvalue of U exceeds the
     reciprocal step, after which the fixed-step scheme cannot resolve the
     solution any further, and :class:`ChartExitError` when the orbit leaves
@@ -539,55 +608,70 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0) -> RiccatiResult:
     n_steps, h = _step_count(path.duration, path.step)
     guard = _exit_guard(chart, h)
     profile = chart.profile
-    dim = chart.dim
+    dim, d = chart.dim, chart.block_dim
+    cartesian = chart.kind == CARTESIAN
     frame = _normal_frame(chart, state.position, state.velocity)
     m = len(frame)
+    mm = m * m
+    diag = range(0, mm, m + 1)
     flat_rates = _flat_rates(chart, m)
-    # on polar n = 1 the connection's jet is the radial jet itself, so one
-    # jet_ratios call per stage serves the rates and the curvature term
-    radial_connection = chart.kind == POLAR and chart.block_dim == 2
-    u = c0 * np.eye(m)
+    adapted_parts = _adapted_parts(chart, m + 1)
+    u = (c0 * np.eye(m)).ravel().tolist()
 
     def rhs(y):
-        pos_, u_mat = np.array(y[:dim]), y[-1]
-        r = chart.radius_of(pos_)
+        r = math.sqrt(_dot(x := y[:d], x)) if cartesian else y[0]
         try:
-            jet, ratios = profile.jet_ratios(r)
+            # one rho_jet per stage: on the Cartesian chart it gives the
+            # connection's axis coefficients too, and on polar n = 1 the
+            # connection's jet is the radial jet itself
+            if cartesian:
+                connection, jet, ratios = axis_jet_ratios(profile, r)
+            else:
+                jet, ratios = profile.jet_ratios(r)
+                connection = jet[:6] if d == 2 else None
         except OverflowError:
             raise _overflow_error(r) from None
-        out = flat_rates(y, jet[:6] if radial_connection else None)
-        curvature = 0.0  # M vanishes wherever every principal ratio does
+        curvature = repeat(0.0)  # M vanishes wherever every ratio does
         if any(ratios):
-            vw = np.array(y[dim:-1]).reshape(m + 1, dim)
-            a = adapted_components_raw(chart, pos_, vw, jet[0], jet[3])
-            curvature = curvature_numerator(ratios, a[1:], a[0])
-        out.append(-(u_mat @ u_mat) - curvature)
-        return out
+            curvature = _curvature_term(
+                ratios, adapted_parts(y, r, jet[0], jet[3]))
+        u_mat = np.array(y[-mm:]).reshape(m, m)
+        uu = (u_mat @ u_mat).ravel().tolist()
+        return flat_rates(y, connection) + [
+            -s - c for s, c in zip(uu, curvature)]
 
     max_eig_allowed = 1.0 / h
     rec_times = [0.0]
-    rec_traces = [float(np.trace(u))]
+    rec_traces = [reduce(add, (u[k] for k in diag), 0.0)]
 
     def before(i, y):
         guard(i, y[:dim], y[dim:2 * dim])
-        if _gershgorin_upper(y[-1]) > max_eig_allowed:
-            exact = float(np.max(np.linalg.eigvalsh(y[-1])))
+        u = y[-mm:]
+        # Gershgorin's bound diag + sum|row| - |diag| on the largest
+        # eigenvalue, each sum from 0.0 left to right as numpy sums a few
+        # entries; the exact eigvalsh only runs when it crosses 1/step
+        if any(u[k] + (reduce(add, map(abs, u[row:row + m]), 0.0) - abs(u[k]))
+               > max_eig_allowed for k, row in zip(diag, range(0, mm, m))):
+            exact = float(np.max(np.linalg.eigvalsh(
+                np.array(u).reshape(m, m))))
             if exact > max_eig_allowed:
                 raise RiccatiBlowupError(
                     "comparison operator eigenvalue exceeded 1/step", i * h)
 
     def after(i, y):
-        u_mat = y[-1] = 0.5 * (y[-1] + y[-1].T)
-        if not np.all(np.isfinite(u_mat)):
+        u = y[-mm:]
+        y[-mm:] = u = [0.5 * (u[p * m + q] + u[q * m + p])
+                       for p in range(m) for q in range(m)]
+        if not all(map(math.isfinite, u)):
             raise RiccatiBlowupError("comparison operator became non-finite",
                                      (i + 1) * h)
         if (i + 1) % RICCATI_RECORD_EVERY == 0 or i + 1 == n_steps:
             rec_times.append((i + 1) * h)
-            rec_traces.append(float(np.trace(u_mat)))
+            rec_traces.append(reduce(add, (u[k] for k in diag), 0.0))
 
-    *flat, u = _rk4(rhs, state.position.tolist() + state.velocity.tolist()
-                    + frame.ravel().tolist() + [u], n_steps, h, before, after)
-    pos, vel = flat[:dim], flat[dim:2 * dim]
+    y = _rk4(rhs, state.position.tolist() + state.velocity.tolist()
+             + frame.ravel().tolist() + u, n_steps, h, before, after)
+    pos, vel = y[:dim], y[dim:2 * dim]
     guard(n_steps, pos, vel)
-    return RiccatiResult(u, np.array(rec_times), np.array(rec_traces),
-                         PhaseState(pos, vel))
+    return RiccatiResult(np.array(y[-mm:]).reshape(m, m), np.array(rec_times),
+                         np.array(rec_traces), PhaseState(pos, vel))

@@ -200,8 +200,21 @@ def axis_coefficient_jets(profile: WarpingProfile, r: float):
     are evaluated in cancellation-free form.  Where one overflows (from
     r ~ 351.9 on the hyperbolic piece) raises :class:`ChartDomainError`.
     """
+    return _checked_axis_jets(r, profile.rho_jet(r))
+
+
+def axis_jet_ratios(profile: WarpingProfile, r: float):
+    """(axis_coefficients(profile, r), *profile.jet_ratios(r)) from one rho
+    evaluation, as a Riccati stage on the Cartesian chart needs them; the
+    radial jet raises OverflowError past r ~ 710 as jet_ratios does."""
+    step = profile.rho_jet(r)
+    jet, ratios = profile._jet_ratios(r, step)
+    return _checked_axis_jets(r, step)[:6], jet, ratios
+
+
+def _checked_axis_jets(r: float, step):
     try:
-        jets = _axis_coefficient_jets(profile, r)
+        jets = _axis_coefficient_jets(r, step)
         if all(map(math.isfinite, jets)):
             return jets
     except OverflowError:
@@ -211,8 +224,8 @@ def axis_coefficient_jets(profile: WarpingProfile, r: float):
         "is exact only where all of them are finite")
 
 
-def _axis_coefficient_jets(profile: WarpingProfile, r: float):
-    p, p1, p2 = profile.rho_jet(r)
+def _axis_coefficient_jets(r: float, step):
+    p, p1, p2 = step
     if p1 == 0.0 and p2 == 0.0 and p in (0.0, 1.0):
         return _FLAT_COEFFS if p == 0.0 else _axis_coeffs_hyperbolic(r)
     # ramp region: r >= 1/k, so plain powers of r are harmless while every
@@ -249,7 +262,7 @@ def _axis_coefficient_jets(profile: WarpingProfile, r: float):
 
 def axis_coefficients(profile: WarpingProfile, r: float):
     """(A, B, A'/r, B'/r, tau^2, 2 tau tau'/r) at radius r >= 0."""
-    return axis_coefficient_jets(profile, r)[:6]
+    return _checked_axis_jets(r, profile.rho_jet(r))[:6]
 
 
 # ---------------------------------------------------------------------------

@@ -326,8 +326,12 @@ class WarpingProfile:
     def jet_ratios(self, r: float):
         """(jet(r), curvature_ratios(r)) from one rho evaluation."""
         r = float(r)
-        step = self.rho_jet(r)
-        jet = self._jet(r, *step)
+        return self._jet_ratios(r, self.rho_jet(r))
+
+    @staticmethod
+    def _jet_ratios(r: float, step):
+        """jet_ratios(r) from the step jet ``step`` = rho_jet(r)."""
+        jet = WarpingProfile._jet(r, *step)
         return jet, _piece_ratios(*step) or _ramp_ratios(jet)
 
     def sigma_tau(self, r: float):

@@ -56,6 +56,27 @@ class TestExitCodes:
         assert run(["verify-profile", "--k", "abc"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,flag", [
+        (cmd.name, opt.name) for cmd in cli._COMMANDS.values()
+        for opt in cmd.options
+        if opt.parse in (cli._float, cli._parse_floats)])
+    def test_non_finite_float_flag_returns_two(self, capsys, command, flag,
+                                               value):
+        # nan and inf parse as floats but must never reach a runner; "=" so
+        # that argparse does not read -inf as a flag
+        text = f"1,{value},0" if flag in ("position", "velocity") else value
+        assert run([command, f"--{flag}={text}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --{flag}: expected a finite number, got " \
+                      f"'{value}'\n"
+
+    def test_non_finite_config_value_returns_two(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("k = nan\n")
+        assert run(["verify-profile", "--config", str(config)]) == 2
+        assert "--k: expected a finite number" in capsys.readouterr().err
+
     def test_overflowing_input_returns_two(self, capsys):
         assert run(["verify-curvature", "--r-max", "300",
                     "--samples", "200"]) == 2

@@ -421,6 +421,51 @@ class TestConnection:
                              abs_tol=1e-13 * scale + np.finfo(float).tiny)
 
 
+class TestCurvatureTerm:
+    @pytest.mark.parametrize("variant", ["flat_profile", "hyperbolic_profile",
+                                         "ramp19"])
+    def test_float_term_matches_curvature_numerator(self, request, variant):
+        # the Riccati stage's plain-float M against the array route of
+        # geometry.curvature_numerator: bit for bit on polar n = 1, where
+        # each matrix product has one term, and elsewhere on the
+        # Cauchy-Schwarz scale sum |k| |w_i| |w_j| |v|^2 of each entry
+        profile = request.getfixturevalue(variant)
+        rng = np.random.default_rng(41)
+        charts = [MetricChart.polar(profile, 1),
+                  MetricChart.four_d_model(profile),
+                  MetricChart.polar(profile, 2),
+                  MetricChart.cartesian(profile, 1),
+                  MetricChart.cartesian(profile, 2)]
+        for chart in charts:
+            d, m = chart.block_dim, chart.dim - 1
+            polar = chart.kind == geometry.POLAR
+            parts = flow._adapted_parts(chart, m + 1)
+            radii = np.exp(rng.uniform(math.log(1e-3), math.log(40.0), 100))
+            # the Cartesian chart's axis and its isotropic R_MIN ball too
+            for r in [*radii] if polar else [0.0, 5e-9, *radii]:
+                pos = metric_point(chart, r, rng)
+                vecs = (rng.standard_normal((m + 1, chart.dim))
+                        * 10.0 ** rng.uniform(-4, 4, (m + 1, 1)))
+                y = pos.tolist() + vecs.ravel().tolist()
+                r = y[0] if polar else math.sqrt(flow._dot(y[:d], y[:d]))
+                jet, ratios = profile.jet_ratios(r)
+                got = flow._curvature_term(ratios,
+                                           parts(y, r, jet[0], jet[3]))
+                a = geometry.adapted_components_raw(chart, pos, vecs,
+                                                    jet[0], jet[3])
+                want = geometry.curvature_numerator(ratios, a[1:], a[0])
+                if polar and d == 2:
+                    assert got == want.ravel().tolist()
+                    assert np.array_equal(np.signbit(got),
+                                          np.signbit(want.ravel()))
+                    continue
+                norms = np.linalg.norm(a, axis=1)
+                scale = (sum(map(abs, ratios)) * norms[0] ** 2
+                         * np.outer(norms[1:], norms[1:]))
+                assert_close(np.reshape(got, (m, m)), want,
+                             abs_tol=1e-13 * scale)
+
+
 # ---------------------------------------------------------------------------
 # parallel transport
 # ---------------------------------------------------------------------------
@@ -667,6 +712,33 @@ class TestComparisonOperator:
             float.fromhex(x) for x in FROZEN_RAMP_U]
         assert result.traces.tolist() == [
             float.fromhex(x) for x in FROZEN_RAMP_TRACES]
+
+    def test_cartesian_stage_evaluates_the_profile_once(self, polar_19,
+                                                        cartesian_19,
+                                                        monkeypatch):
+        # on the Cartesian chart one rho_jet call per stage serves the
+        # connection's axis coefficients and the curvature term, each as
+        # its own call at that radius gives it
+        state = flow.switch_chart(polar_19, unit_state(
+            polar_19, [12.0, 0.3, 0.0], [0.4, 0.25, 0.55]), cartesian_19)
+        path = flow.integrate_geodesic(cartesian_19, state, 0.05,
+                                       record_every=10 ** 9)
+        profile = cartesian_19.profile
+        rho_jet = WarpingProfile.rho_jet
+        radii = []
+
+        def counted(profile, r):
+            radii.append(r)
+            return rho_jet(profile, r)
+
+        monkeypatch.setattr(WarpingProfile, "rho_jet", counted)
+        flow.riccati_expansion(path)
+        assert len(radii) == 4 * 50
+        monkeypatch.undo()
+        for r in radii[::7]:
+            assert geometry.axis_jet_ratios(profile, r) == (
+                geometry.axis_coefficients(profile, r),
+                *profile.jet_ratios(r))
 
     def test_traces_recorded_monotone_time(self, polar_19):
         state = PhaseState(np.array([10.0, 0.0, 0.0]),
