@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .rng import sample_stream
+from .rng import sample_streams
 
 __all__ = [
     "PointCloud",
@@ -360,15 +360,13 @@ class UnionVolumeReport:
 
 
 def _count_chunk(
-    seed: int,
-    start: int,
+    gen: np.random.Generator,
     count: int,
     lo: np.ndarray,
     span: np.ndarray,
     body: ConvexBody,
     moved: ConvexBody,
 ) -> tuple[int, int]:
-    gen = sample_stream(seed, start)
     pts = lo + gen.random((count, lo.shape[0])) * span
     in_body = body.contains(pts)
     in_union = in_body.copy()
@@ -401,8 +399,9 @@ def union_volume(
     span = hi - lo
     box_volume = float(np.prod(span))
 
+    at = sample_streams(seed)
     counts = [
-        _count_chunk(seed, start, min(_CHUNK, samples - start), lo, span,
+        _count_chunk(at(start), min(_CHUNK, samples - start), lo, span,
                      body, moved)
         for start in range(0, samples, _CHUNK)
     ]

@@ -25,7 +25,7 @@ from .profiles import (
     sinh_minus_linear,
     sinh_minus_linear_over_r3,
 )
-from .rng import sample_stream
+from .rng import sample_streams
 
 POLAR = "polar"
 CARTESIAN = "cartesian"
@@ -872,29 +872,31 @@ def _scan_block(chart: MetricChart, region: Box, seed: int, start: int,
                 stop: int):
     """(K, coords, errors) of the scan samples start..stop-1.
 
-    Index i draws from its own stream: a point uniform in the box, then two
+    Index i draws from its own (seed, i) Philox stream, reached by re-keying
+    the block's one bit generator: a point uniform in the box, then two
     standard-normal vectors, orthonormalized in the metric; an attempt whose
     second vector keeps under 1e-14 of its squared length once projected
-    off the first draws again from the same stream.  K[j] is NaN where
-    sample start + j raised; coords[j] is its last attempt's point and
-    errors[j] the exception it raised.
+    off the first draws again from the same stream (attempt k re-keys and
+    skips k draws).  K[j] is NaN where sample start + j raised; coords[j]
+    is its last attempt's point and errors[j] the exception it raised.
     """
     lo = np.asarray(region.lo, dtype=float)
     hi = np.asarray(region.hi, dtype=float)
-    dim = chart.dim
-    streams = [sample_stream(seed, i) for i in range(start, stop)]
-    ks = np.full(len(streams), math.nan)
-    coords = np.empty((len(streams), dim))
+    at = sample_streams(seed)
+    draws = np.empty((stop - start, 3, chart.dim))
+    ks = np.full(stop - start, math.nan)
     errors: dict[int, ValueError] = {}
-    todo = np.arange(len(streams))
-    for _ in range(_DRAW_ATTEMPTS):
-        picked = [streams[j] for j in todo]
-        draws = np.array([(rng.random(dim), rng.standard_normal(dim),
-                           rng.standard_normal(dim)) for rng in picked])
-        points = lo + draws[:, 0] * (hi - lo)
-        coords[todo] = points
+    todo = np.arange(stop - start)
+    for attempt in range(_DRAW_ATTEMPTS):
+        for j in todo.tolist():
+            rng, row = at(start + j), draws[j]
+            for _ in range(attempt + 1):
+                rng.random(out=row[0])
+                rng.standard_normal(out=row[1:])
+        picked = draws[todo]
+        points = lo + picked[:, 0] * (hi - lo)
         a, ratios, radii, finite = _adapted_vectors(chart, points,
-                                                    draws[:, 1:])
+                                                    picked[:, 1:])
         for j in np.flatnonzero(~finite):
             errors[int(todo[j])] = _overflow_error(radii[j])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -919,7 +921,7 @@ def _scan_block(chart: MetricChart, region: Box, seed: int, start: int,
     for j in todo:
         errors[int(j)] = DegeneratePlaneError(
             "could not draw an independent plane")
-    return ks, coords, errors
+    return ks, lo + draws[:, 0] * (hi - lo), errors
 
 
 def scan_nonpositive(chart: MetricChart, samples: int, seed: int,
@@ -928,10 +930,11 @@ def scan_nonpositive(chart: MetricChart, samples: int, seed: int,
 
     Points are uniform in the region box; planes come from two
     standard-normal tangent vectors orthonormalized in the metric.  Each
-    sample index has its own counter-based stream, so the report is a
-    pure function of the seed.  Samples are evaluated in blocks through
-    the principal-ratio expansion of :func:`sectional_curvature`, one
-    radial jet per sample, and their outcomes are taken in index order: the
+    sample index has its own (seed, index) Philox stream, reached by
+    re-keying one bit generator per block, so the report is a pure function
+    of the seed.  Samples are evaluated in blocks through the
+    principal-ratio expansion of :func:`sectional_curvature`, one radial
+    jet per sample, and their outcomes are taken in index order: the
     first sample that raises (:class:`ChartDomainError` where the metric
     scales overflow, :class:`DegeneratePlaneError` for a plane that cannot
     be drawn) raises, and the first non-finite sample ends the scan with

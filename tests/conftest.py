@@ -1,10 +1,20 @@
-"""Shared fixtures: the three warping-profile variants and chart builders."""
+"""Shared fixtures: the three warping-profile variants and chart builders,
+and the per-sample stream oracle."""
 
 import numpy as np
 import pytest
 
 from fatflat import geometry
 from fatflat.profiles import WarpingProfile
+
+MASK64 = (1 << 64) - 1
+
+
+def sample_stream(seed, index):
+    """A fresh Philox stream keyed by (seed, index): the oracle for the
+    re-keyed route of ``fatflat.rng.sample_streams``."""
+    key = ((seed & MASK64) << 64) | (index & MASK64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @pytest.fixture(scope="session")

@@ -71,6 +71,36 @@ class TestExitCodes:
         assert err == f"error: --{flag}: expected a finite number, got " \
                       f"'{value}'\n"
 
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["flats-translation", "--samples", "20000"], "shift", "-0.5,0"),
+        (["geodesic", "--chart", "cartesian", "--duration", "0.1"],
+         "position", "-0.01,0,0"),
+    ])
+    def test_list_value_with_a_leading_minus_sign(self, capsys, argv, flag,
+                                                  value):
+        # after a space, the value reads as it does in the "=" form
+        assert run(argv + [f"--{flag}={value}"]) == 0
+        joined = capsys.readouterr().out
+        assert run(argv + [f"--{flag}", value]) == 0
+        assert capsys.readouterr().out == joined
+        assert f"{value.split(',')[0]}," in joined
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["flats-translation", "--shift", "-0.0001,0", "--threshold", "1e-5",
+          "--samples", "1000"], 1, ""),
+        (["flats-translation", "--shift", "-0.5"], 2,
+         "error: shift needs 2 components, got 1\n"),
+        (["flats-translation", "--shift", "-x,0"], 2,
+         "error: --shift: could not convert string to float: '-x'\n"),
+        (["geodesic", "--position", "-1,-inf,0"], 2,
+         "error: --position: expected a finite number, got '-inf'\n"),
+        (["geodesic", "--position", "-0.01,0,0", "-0.5"], 2, "unrecognized"),
+    ])
+    def test_leading_minus_sign_keeps_the_exit_contract(self, capsys, argv,
+                                                        code, message):
+        assert run(argv) == code
+        assert message in capsys.readouterr().err
+
     def test_non_finite_config_value_returns_two(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text("k = nan\n")

@@ -15,7 +15,7 @@ from fatflat import geometry
 from fatflat.geometry import (ChartDomainError, DegeneratePlaneError,
                               MetricChart)
 
-from conftest import assert_close
+from conftest import assert_close, sample_stream
 
 # six curvature components at (r=19.5, theta=0.7) for the k=19 profile,
 # in field order (theta_r, phi_r, z_r, phi_theta, theta_z, phi_z)
@@ -647,7 +647,7 @@ class TestScans:
         region = geometry.Box((249.0, 0.05, 0.0, -2.0),
                               (250.0, math.pi - 0.05, 2 * math.pi, 2.0))
         lo, hi = np.array(region.lo), np.array(region.hi)
-        bad_r = float(lo[0] + geometry.sample_stream(0, 7).random(4)[0]
+        bad_r = float(lo[0] + sample_stream(0, 7).random(4)[0]
                       * (hi[0] - lo[0]))
         jet_ratios = type(hyperbolic_profile).jet_ratios
 
@@ -722,11 +722,12 @@ class TestScans:
 # the batched scan against the sequential sampler it replaced
 # ---------------------------------------------------------------------------
 
-def sequential_sample(chart, region, seed, index):
+def sequential_sample(chart, region, seed, index, stream=sample_stream):
     """One scan sample drawn and orthonormalized one index at a time in
     chart coordinates with the metric tensor, then evaluated by the
-    single-plane route: the sampler the batched scan replaced."""
-    rng = geometry.sample_stream(seed, index)
+    single-plane route: the sampler the batched scan replaced.  Each index
+    draws from a fresh ``stream(seed, index)``."""
+    rng = stream(seed, index)
     lo = np.asarray(region.lo)
     hi = np.asarray(region.hi)
     dim = chart.dim
@@ -823,8 +824,11 @@ class TestBatchedScanOracle:
         # on radii up to 2 and on the default box, which reaches r = 45:
         # there sigma is large and the rounding left over from parallel
         # vectors is far above 1e-14, so the redraw test has to be relative
-        # to the length of v
-        real_stream = geometry.sample_stream
+        # to the length of v.  The batched route re-keys index 3 for its
+        # second attempt and skips the first draw, so the first draw after
+        # each keying gets the parallel v.
+        real_streams = geometry.sample_streams
+        chart = scan_chart(ramp19, kind)
         draws = []
 
         class ParallelFirst:
@@ -832,36 +836,48 @@ class TestBatchedScanOracle:
                 self.rng = rng
                 self.normals = []
 
-            def random(self, n):
+            def random(self, size=None, out=None):
                 draws.append("random")
-                return self.rng.random(n)
+                return self.rng.random(size, out=out)
 
-            def standard_normal(self, n):
+            def standard_normal(self, size=None, out=None):
                 draws.append("normal")
-                x = self.rng.standard_normal(n)
-                if len(self.normals) == 1:
-                    x = 2.0 * self.normals[0]
-                self.normals.append(x)
+                x = self.rng.standard_normal(size, out=out)
+                for row in x.reshape(-1, chart.dim):
+                    if len(self.normals) == 1:
+                        row[:] = 2.0 * self.normals[0]
+                    self.normals.append(row.copy())
                 return x
 
+        def streams(seed):
+            at = real_streams(seed)
+
+            def keyed(index):
+                rng = at(index)
+                return ParallelFirst(rng) if index == 3 else rng
+
+            return keyed
+
         def stream(seed, index):
-            rng = real_stream(seed, index)
+            rng = sample_stream(seed, index)
             return ParallelFirst(rng) if index == 3 else rng
 
-        monkeypatch.setattr(geometry, "sample_stream", stream)
-        chart = scan_chart(ramp19, kind)
+        monkeypatch.setattr(geometry, "sample_streams", streams)
         for r_max in (2.0, None):
             region = geometry.default_region(chart, r_max=r_max)
             draws.clear()
             ks, coords, errors = geometry._scan_block(chart, region, 1, 0, 6)
             batched = list(draws)
             draws.clear()
-            k_ref, coords_ref = sequential_sample(chart, region, 1, 3)
+            k_ref, coords_ref = sequential_sample(chart, region, 1, 3, stream)
             assert not errors
-            assert batched == draws == ["random", "normal", "normal"] * 2
+            # one draw, then the re-keyed second attempt: a skipped draw
+            # and the accepted one, each u and v in one call
+            assert batched == ["random", "normal"] * 3
+            assert draws == ["random", "normal", "normal"] * 2
             assert abs(ks[3] - k_ref) <= 1e-13 * max(1.0, abs(k_ref))
             assert tuple(coords[3]) == coords_ref
             first = (np.asarray(region.lo)
-                     + real_stream(1, 3).random(chart.dim)
+                     + sample_stream(1, 3).random(chart.dim)
                      * (np.asarray(region.hi) - np.asarray(region.lo)))
             assert tuple(first) != coords_ref
