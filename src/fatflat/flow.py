@@ -277,9 +277,10 @@ def _connection(chart: MetricChart) -> Tuple[Callable, Callable]:
                     -(ls * vr) * wt - (ls * wr) * vt,
                     -(lt * vr) * wz - (lt * wr) * vz)
 
+        sigma_tau = profile.sigma_tau  # bound once per integrator call
         def jet(pos, v):
             try:
-                return profile.sigma_tau(pos[0])
+                return sigma_tau(pos[0])
             except OverflowError:  # sinh, cosh past r ~ 710
                 raise _overflow_error(pos[0]) from None
 
@@ -502,11 +503,12 @@ def _normal_frame(chart: MetricChart, position: np.ndarray,
         if vnorm <= 0.0:
             raise ValueError("velocity must be nonzero")
         basis = [velocity / math.sqrt(vnorm)]
-        for cand in np.eye(dim):
+        for i, cand in enumerate(np.eye(dim)):
             for b in basis:
                 cand = cand - float(cand @ g @ b) * b
             nrm = float(cand @ g @ cand)
-            if nrm > 1e-12:
+            # relative: a candidate in the span leaves about g(e_i, e_i) eps^2
+            if nrm > 1e-12 * g[i, i]:
                 basis.append(cand / math.sqrt(nrm))
             if len(basis) == dim:
                 break
@@ -617,6 +619,7 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0) -> RiccatiResult:
     flat_rates = _flat_rates(chart, m)
     adapted_parts = _adapted_parts(chart, m + 1)
     u = (c0 * np.eye(m)).ravel().tolist()
+    jet_ratios = profile.jet_ratios
 
     def rhs(y):
         r = math.sqrt(_dot(x := y[:d], x)) if cartesian else y[0]
@@ -627,7 +630,7 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0) -> RiccatiResult:
             if cartesian:
                 connection, jet, ratios = axis_jet_ratios(profile, r)
             else:
-                jet, ratios = profile.jet_ratios(r)
+                jet, ratios = jet_ratios(r)
                 connection = jet[:6] if d == 2 else None
         except OverflowError:
             raise _overflow_error(r) from None

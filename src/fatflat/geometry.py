@@ -20,7 +20,10 @@ import numpy as np
 
 from .profiles import (
     WarpingProfile,
+    _piece_ratios,
     _ramp_blend,
+    _ramp_ratios,
+    _step_jet,
     cosh_minus_one,
     sinh_minus_linear,
     sinh_minus_linear_over_r3,
@@ -196,9 +199,10 @@ def axis_coefficient_jets(profile: WarpingProfile, r: float):
     (2 tau tau'/r)'/r) at radius r >= 0.
 
     These nine functions determine the Cartesian metric and its first and
-    second coordinate derivatives; all are smooth even functions of r and
-    are evaluated in cancellation-free form.  Where one overflows (from
-    r ~ 351.9 on the hyperbolic piece) raises :class:`ChartDomainError`.
+    second coordinate derivatives; all are smooth even functions of r,
+    evaluated in cancellation-free form.  Where one overflows (from r ~ 351.9
+    on the hyperbolic piece) raises :class:`ChartDomainError`; finite is not
+    exact, as the chart's rates cancel A = (sigma/r)^2 against B r^2 terms.
     """
     return _checked_axis_jets(r, profile.rho_jet(r))
 
@@ -208,8 +212,9 @@ def axis_jet_ratios(profile: WarpingProfile, r: float):
     evaluation, as a Riccati stage on the Cartesian chart needs them; the
     radial jet raises OverflowError past r ~ 710 as jet_ratios does."""
     step = profile.rho_jet(r)
-    jet, ratios = profile._jet_ratios(r, step)
-    return _checked_axis_jets(r, step)[:6], jet, ratios
+    jet = _step_jet(r, *step)
+    return (_checked_axis_jets(r, step)[:6], jet,
+            _piece_ratios(*step) or _ramp_ratios(jet))
 
 
 def _checked_axis_jets(r: float, step):

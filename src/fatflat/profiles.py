@@ -39,17 +39,10 @@ def bump_f(spec: BumpSpec, x: float) -> float:
     return math.exp(-k * k / u)
 
 
-def _bump_jet(k: float, x: float) -> tuple[float, float]:
-    """(bump value, bump derivative) at x from one exp."""
-    u = k * k - x * x
-    if u <= 0.0:
-        return 0.0, 0.0
-    f = math.exp(-k * k / u)
-    return f, f * (-2.0 * k * k * x / (u * u))
-
-
 def bump_f_prime(spec: BumpSpec, x: float) -> float:
-    return _bump_jet(spec.k, x)[1]
+    k = spec.k
+    u = k * k - x * x
+    return 0.0 if u <= 0.0 else bump_f(spec, x) * (-2.0 * k * k * x / (u * u))
 
 
 def bump_f_many(spec: BumpSpec, xs: np.ndarray) -> np.ndarray:
@@ -65,7 +58,7 @@ def bump_f_many(spec: BumpSpec, xs: np.ndarray) -> np.ndarray:
 
 
 def _bump_jet_many(k: float, xs: np.ndarray):
-    """Array twin of :func:`_bump_jet`: (values, derivatives) from one exp."""
+    """(bump values, derivatives) at xs from one exp."""
     u = k * k - xs * xs
     inside = u > 0.0
     f = np.zeros_like(xs)
@@ -83,10 +76,11 @@ def _bump_jet_many(k: float, xs: np.ndarray):
 # Scans and flow integration evaluate F at millions of points; adaptive
 # quadrature per call is far too slow there.  A cumulative table of
 # 12-node Gauss panels gives machine-accurate values in O(1) per query and
-# is cross-checked against an adaptive-Simpson oracle in the tests.  The scalar path
-# (_F_fast, rho) reads Python-list copies of the table and Python-float
-# nodes, so that no numpy scalar reaches the radial jet; the array path
-# (_F_fast_many, rho_many) reads the arrays.
+# is cross-checked against an adaptive-Simpson oracle in the tests.  The
+# scalar path is one closure per profile (_radial_jet), built once per
+# (variant, k): it binds Python-list copies of the table, Python-float nodes
+# and math.exp, so that no numpy scalar and no cache lookup reaches the
+# radial jet; the array path (_F_fast_many, rho_many) reads the arrays.
 
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
 _GL_PAIRS = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
@@ -107,26 +101,6 @@ def _bump_table(k: float):
     return edges, cum, edges.tolist(), cum.tolist()
 
 
-def _F_fast(k: float, x: float) -> float:
-    if x <= -k:
-        return 0.0
-    edges, cum = _bump_table(k)[2:]
-    if x >= k:
-        return cum[-1]
-    i = min(bisect_right(edges, x) - 1, _N_PANELS - 1)
-    a = edges[i]
-    halfw = 0.5 * (x - a)
-    midp = a + halfw
-    kk = k * k
-    acc = 0.0
-    for node, w in _GL_PAIRS:
-        t = midp + halfw * node
-        u = kk - t * t
-        if u > 0.0:
-            acc += w * math.exp(-kk / u)
-    return cum[i] + halfw * acc
-
-
 def _F_fast_many(k: float, xs: np.ndarray) -> np.ndarray:
     edges, cum = _bump_table(k)[:2]
     xs = np.asarray(xs, dtype=float)
@@ -141,21 +115,12 @@ def _F_fast_many(k: float, xs: np.ndarray) -> np.ndarray:
 
 
 def rho(spec: BumpSpec, r: float) -> tuple[float, float, float]:
-    """Smoothed step (value, first, second derivative) at radius r.
+    """Smoothed step (value, first, second derivative) at radius r >= 0.
 
     rho ramps from 0 to 1 as r crosses the window
     [1/k, 2k + 1/k]; it is identically 0 and 1 outside.
     """
-    k = spec.k
-    shift = k + 1.0 / k
-    y = r - shift
-    if y <= -k:
-        return 0.0, 0.0, 0.0
-    if y >= k:
-        return 1.0, 0.0, 0.0
-    total = _bump_table(k)[3][-1]
-    f, f1 = _bump_jet(k, y)
-    return _F_fast(k, y) / total, f / total, f1 / total
+    return _radial_jet("interpolated", spec.k)[1](r, False)[0]
 
 
 def rho_many(spec: BumpSpec, rs: np.ndarray):
@@ -248,6 +213,78 @@ def _piece_ratios(p, p1, _):
     return _PIECE_RATIOS.get(p) if p1 == 0.0 else None
 
 
+def _flat_jet(r):
+    return r, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0
+
+
+def _hyperbolic_jet(r):
+    sh, ch, s = math.sinh(r), math.cosh(r), math.sinh(0.5 * r)
+    return sh, ch, sh, ch, sh, ch, 2.0 * s * s
+
+
+def _step_jet(r, p, p1, p2):
+    """The radial jet at r from the step jet (p, p1, p2) there: a piece jet
+    where the step is flat or hyperbolic, else the ramp blend (one sinh r)."""
+    if p1 == 0.0 and p in (0.0, 1.0):
+        return (_hyperbolic_jet if p else _flat_jet)(r)
+    sh, s = math.sinh(r), math.sinh(0.5 * r)
+    sml = sh - r if r >= 0.75 else _series_over_r3(r * r) * (r * r) * r
+    return _ramp_blend(r, p, p1, p2, sh, math.cosh(r), sml, 2.0 * s * s)
+
+
+@lru_cache(maxsize=8)
+def _radial_jet(variant: str, k: float | None):
+    """(F, radial) of one profile: radial(r, jet=True) is the step jet
+    (rho, rho', rho'') at r >= 0 and the radial jet (WarpingProfile.jet), or
+    False and no sinh if ``jet`` is false; F is the table's bump integral."""
+    if variant != "interpolated":
+        step, piece = (((0.0, 0.0, 0.0), _flat_jet) if variant == "flat"
+                       else ((1.0, 0.0, 0.0), _hyperbolic_jet))
+
+        def radial(r, jet=True):
+            if r < 0.0:
+                raise ValueError(f"radius must be nonnegative, got {r}")
+            return step, jet and piece(r)
+
+        return None, radial
+    edges, cum = _bump_table(k)[2:]
+    total, kk, dkk, shift = cum[-1], k * k, -2.0 * k * k, k + 1.0 / k
+    exp = math.exp
+
+    def F(x):
+        if x <= -k:
+            return 0.0
+        if x >= k:
+            return total
+        i = bisect_right(edges, x) - 1  # below the last edge, k
+        a = edges[i]
+        halfw = 0.5 * (x - a)
+        midp = a + halfw
+        acc = 0.0
+        for node, w in _GL_PAIRS:
+            t = midp + halfw * node
+            u = kk - t * t
+            if u > 0.0:
+                acc += w * exp(-kk / u)
+        return cum[i] + halfw * acc
+
+    def radial(r, jet=True):
+        if r < 0.0:
+            raise ValueError(f"radius must be nonnegative, got {r}")
+        y = r - shift
+        if y <= -k:
+            return (0.0, 0.0, 0.0), jet and _flat_jet(r)
+        if y >= k:
+            return (1.0, 0.0, 0.0), jet and _hyperbolic_jet(r)
+        u = kk - y * y  # the bump and its derivative from one exp
+        f = 0.0 if u <= 0.0 else exp(-kk / u)
+        p, p1 = F(y) / total, f / total
+        p2 = (0.0 if u <= 0.0 else f * (dkk * y / (u * u))) / total
+        return (p, p1, p2), jet and _step_jet(r, p, p1, p2)
+
+    return F, radial
+
+
 # ---------------------------------------------------------------------------
 
 _VARIANTS = ("flat", "hyperbolic", "interpolated")
@@ -271,6 +308,15 @@ class WarpingProfile:
             raise ValueError(f"unknown profile variant {self.variant!r}")
         if self.variant == "interpolated" and self.bump is None:
             raise ValueError("interpolated profile needs a BumpSpec")
+
+    def _radial(self, r, jet=True):
+        # the first call binds the profile's radial jet in this method's place
+        radial = _radial_jet(self.variant, getattr(self.bump, "k", None))[1]
+        object.__setattr__(self, "_radial", radial)
+        return radial(r, jet)
+
+    def __reduce__(self):  # from the fields: the bound jet does not pickle
+        return type(self), (self.variant, self.bump)
 
     @classmethod
     def flat(cls) -> "WarpingProfile":
@@ -297,68 +343,49 @@ class WarpingProfile:
         return 1.0 / self.matching_radius
 
     def rho_jet(self, r: float) -> tuple[float, float, float]:
-        """(rho, rho', rho'') at radius r >= 0."""
-        if r < 0.0:
-            raise ValueError(f"radius must be nonnegative, got {r}")
-        if self.variant == "flat":
-            return 0.0, 0.0, 0.0
-        if self.variant == "hyperbolic":
-            return 1.0, 0.0, 0.0
-        return rho(self.bump, r)
-
-    @staticmethod
-    def _jet(r: float, p: float, p1: float, p2: float):
-        if p1 == 0.0 and p == 0.0:
-            return r, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0
-        sh, ch = math.sinh(r), math.cosh(r)
-        if p1 == 0.0 and p == 1.0:
-            return sh, ch, sh, ch, sh, ch, cosh_minus_one(r)
-        return _ramp_blend(r, p, p1, p2, sh, ch, sinh_minus_linear(r),
-                           cosh_minus_one(r))
+        """(rho, rho', rho'') at radius r >= 0; evaluates no sinh."""
+        return self._radial(r, False)[0]
 
     def jet(self, r: float):
         """(sigma, sigma', sigma'', tau, tau', tau'', sigma' - 1) at radius
-        r >= 0, from one rho evaluation; like every scalar jet here, Python
-        floats on every piece and for any real r."""
-        r = float(r)
-        return self._jet(r, *self.rho_jet(r))
+        r >= 0, from one call of the profile's radial jet; like every scalar
+        jet here, Python floats on every piece and for any real r."""
+        return self._radial(float(r))[1]
 
     def jet_ratios(self, r: float):
-        """(jet(r), curvature_ratios(r)) from one rho evaluation."""
-        r = float(r)
-        return self._jet_ratios(r, self.rho_jet(r))
-
-    @staticmethod
-    def _jet_ratios(r: float, step):
-        """jet_ratios(r) from the step jet ``step`` = rho_jet(r)."""
-        jet = WarpingProfile._jet(r, *step)
+        """(jet(r), curvature_ratios(r)) from one radial jet."""
+        step, jet = self._radial(float(r))
         return jet, _piece_ratios(*step) or _ramp_ratios(jet)
 
     def sigma_tau(self, r: float):
         """(sigma, sigma', sigma'', tau, tau', tau'') at radius r >= 0."""
-        r = float(r)
-        return self._jet(r, *self.rho_jet(r))[:6]
+        return self._radial(float(r))[1][:6]
 
     def sigma_tau_many(self, rs: np.ndarray):
         rs = np.asarray(rs, dtype=float)
         if rs.ndim == 0:  # as a batch of one, then 0-d arrays like the input
             return tuple(c.reshape(()) for c in self.sigma_tau_many(rs[None]))
+        return self._jet_many(rs)[1]
+
+    def _jet_many(self, rs: np.ndarray):
+        """(step jet, sigma_tau_many(rs)) for a 1-d rs, from one step."""
         if np.any(rs < 0.0):
             raise ValueError("radii must be nonnegative")
+        one, zero = np.ones_like(rs), np.zeros_like(rs)
         if self.variant == "flat":
-            one = np.ones_like(rs)
-            zero = np.zeros_like(rs)
-            return rs.copy(), one, zero, one.copy(), zero.copy(), zero.copy()
+            return (zero, zero, zero), (rs.copy(), one, zero, one.copy(),
+                                        zero.copy(), zero.copy())
         sh, ch = np.sinh(rs), np.cosh(rs)
         if self.variant == "hyperbolic":
-            return sh, ch, sh.copy(), ch.copy(), sh.copy(), ch.copy()
-        p, p1, p2 = rho_many(self.bump, rs)
+            return (one, zero, zero), (sh, ch, sh.copy(), ch.copy(),
+                                       sh.copy(), ch.copy())
+        step = p, p1, p2 = rho_many(self.bump, rs)
         sml = sh - rs
         small = rs < 0.75
         u = rs[small] * rs[small]
         sml[small] = _series_over_r3(u) * u * rs[small]
         cm1 = 2.0 * np.sinh(0.5 * rs) ** 2
-        return _ramp_blend(rs, p, p1, p2, sh, ch, sml, cm1)[:6]
+        return step, _ramp_blend(rs, p, p1, p2, sh, ch, sml, cm1)[:6]
 
     def curvature_ratios(self, r: float) -> tuple[float, float, float, float]:
         """Principal sectional curvatures at radius r > 0.
@@ -367,10 +394,9 @@ class WarpingProfile:
         (-sigma''/sigma, (1 - sigma'^2)/sigma^2, -tau''/tau,
         -sigma' tau'/(sigma tau)).  All four are <= 0 for a convex profile.
         """
-        r = float(r)
-        step = self.rho_jet(r)
+        step = self._radial(r := float(r), False)[0]
         # no jet on the pure pieces, whose sinh overflows past r = 710
-        return _piece_ratios(*step) or _ramp_ratios(self._jet(r, *step))
+        return _piece_ratios(*step) or _ramp_ratios(_step_jet(r, *step))
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +437,8 @@ def verify_profile(profile: WarpingProfile, grid_max: float = 60.0,
         raise ValueError("grid bounds must be positive")
     n = int(round(grid_max / grid_step))
     rs = np.linspace(0.0, n * grid_step, n + 1)
-    sigma, sigma_p, sigma_pp, tau, tau_p, tau_pp = profile.sigma_tau_many(rs)
-    if profile.variant == "interpolated":
-        p, _, p2 = rho_many(profile.bump, rs)
-    else:
-        p = np.full_like(rs, 1.0 if profile.variant == "hyperbolic" else 0.0)
-        p2 = np.zeros_like(rs)
+    (p, _, p2), jet = profile._jet_many(rs)
+    sigma, sigma_p, sigma_pp, tau, tau_p, tau_pp = jet
 
     quantities = (
         ("sigma_nonneg", sigma),

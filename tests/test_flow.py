@@ -371,6 +371,23 @@ class TestMetricInnerProduct:
             assert_close(frame @ g @ frame.T, np.eye(2), abs_tol=1e-11)
             assert_close(frame @ g @ vel, np.zeros(2), abs_tol=1e-11)
 
+    @pytest.mark.parametrize("variant", ["hyperbolic_profile", "ramp19"])
+    @pytest.mark.parametrize("r", [40.0, 60.0, 150.0, 200.0, 300.0])
+    def test_normal_frame_at_large_warp(self, request, variant, r):
+        # with v along (1, 1/sigma, 0) or e_theta, Gram-Schmidt leaves e_theta
+        # a rounding residual of g-norm ~ sigma^2 eps^2, far above any fixed
+        # absolute floor: taken as a basis vector it left G(v, frame) off I
+        # by 0.71-1.0, and e_z unreached
+        profile = request.getfixturevalue(variant)
+        chart = MetricChart.polar(profile, 1)
+        pos = np.array([r, 0.3, 0.0])
+        sigma = profile.sigma_tau(r)[0]
+        for direction in ([1.0, 1.0 / sigma, 0.0], [0.0, 1.0 / sigma, 0.0]):
+            vel = flow.normalize_velocity(chart, pos, np.array(direction))
+            frame = flow._normal_frame(chart, pos, vel)
+            gram = flow._gram(chart, [pos], [np.vstack([vel, frame])])[0]
+            assert np.max(np.abs(gram - np.eye(3))) <= 1e-12, direction
+
     def test_energy_of_tiny_rates_at_large_radius(self, hyperbolic_profile):
         # sigma ~ 1e173 times rates 1e-160: each (warp * rate) product is
         # ordinary, while a squared rate alone would be subnormal

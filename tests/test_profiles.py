@@ -7,7 +7,11 @@ below must agree with them independently, and the package's panel table
 with it.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -177,6 +181,11 @@ def bump18(x: float) -> float:
 # cumulative mass
 # ---------------------------------------------------------------------------
 
+def fast_F(x: float) -> float:
+    """F(x) of the k = 19 profile from the scalar panel-table path."""
+    return profiles._radial_jet("interpolated", 19.0)[0](x)
+
+
 class TestCumulativeMass:
     def test_zero_below_support(self):
         spec = BumpSpec(18.0)
@@ -222,12 +231,12 @@ class TestCumulativeMass:
     def test_fast_table_matches_adaptive(self):
         spec = BumpSpec(19.0)
         for x in (-18.0, -7.3, 0.0, 4.1, 12.9, 18.999):
-            table = profiles._F_fast(19.0, x)
+            table = fast_F(x)
             adaptive = bump_integral_F(spec, x)
             assert table == pytest.approx(adaptive, abs=5e-12)
 
     def test_fast_table_frozen_bit_for_bit(self):
-        # float.hex() of _F_fast(19.0, x), frozen: the scalar table path
+        # float.hex() of the table's F(x) at k = 19, frozen: the scalar path
         # must reproduce every bit, at an exact panel edge and at the float
         # just above it too
         edge = -9.72265625  # edge 1000 of the 4096-panel table
@@ -245,7 +254,7 @@ class TestCumulativeMass:
         }
         assert profiles._bump_table(19.0)[0][1000] == edge
         for x, value in frozen.items():
-            assert profiles._F_fast(19.0, x).hex() == value, x
+            assert fast_F(x).hex() == value, x
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(QuadratureError):
@@ -417,6 +426,178 @@ class TestWarpingFunctions:
 
 
 # ---------------------------------------------------------------------------
+# the scalar radial jet against the composition of its separate steps
+# ---------------------------------------------------------------------------
+
+def reference_step(k: float, r: float):
+    """(rho, rho', rho'') at r by the steps the per-profile jet fuses, each
+    on its own: the window test, the table's 12-node panel quadrature of F
+    summed from 0.0, and the bump and its derivative from one exp."""
+    shift = k + 1.0 / k
+    y = r - shift
+    if y <= -k:
+        return 0.0, 0.0, 0.0
+    if y >= k:
+        return 1.0, 0.0, 0.0
+    edges, cum = profiles._bump_table(k)[2:]
+    i = min(bisect_right(edges, y) - 1, len(edges) - 2)
+    a = edges[i]
+    halfw = 0.5 * (y - a)
+    midp = a + halfw
+    acc = 0.0
+    for node, w in zip(*(c.tolist() for c in leggauss(12))):
+        t = midp + halfw * node
+        u = k * k - t * t
+        if u > 0.0:
+            acc += w * math.exp(-(k * k) / u)
+    total = cum[-1]
+    u = k * k - y * y
+    f = math.exp(-k * k / u) if u > 0.0 else 0.0
+    f1 = f * (-2.0 * k * k * y / (u * u)) if u > 0.0 else 0.0
+    return (cum[i] + halfw * acc) / total, f / total, f1 / total
+
+
+def reference_jet(profile: WarpingProfile, r: float):
+    """(step, jet, ratios) at r: the step jet, then the piece jet or the
+    ramp blend of it with math.sinh and math.cosh, then the ratios."""
+    if profile.variant == "interpolated":
+        step = reference_step(profile.bump.k, r)
+    else:
+        step = (1.0 if profile.variant == "hyperbolic" else 0.0, 0.0, 0.0)
+    p, p1, p2 = step
+    if p1 == 0.0 and p == 0.0:
+        return step, (r, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0), (0.0,) * 4
+    sh, ch, cm1 = math.sinh(r), math.cosh(r), profiles.cosh_minus_one(r)
+    if p1 == 0.0 and p == 1.0:
+        return step, (sh, ch, sh, ch, sh, ch, cm1), (-1.0,) * 4
+    jet = profiles._ramp_blend(r, p, p1, p2, sh, ch,
+                               profiles.sinh_minus_linear(r), cm1)
+    return step, jet, profiles._ramp_ratios(jet)
+
+
+def hexes(values):
+    """float.hex of each value, which must be a Python float."""
+    assert all(type(v) is float for v in values), values
+    return [v.hex() for v in values]
+
+
+def special_radii(k: float) -> list[float]:
+    """r = 0, 1/k, the window edges y = -k, k and their float neighbours,
+    both sides of r = 0.75, and the underflow tails inside the window."""
+    shift = k + 1.0 / k
+    radii = [0.0, 1.0 / k, 0.75, math.nextafter(0.75, 0.0),
+             math.nextafter(0.75, 1.0)]
+    for edge in (shift - k, shift + k):
+        radii += [edge, math.nextafter(edge, 0.0),
+                  math.nextafter(edge, math.inf)]
+    for e in range(8, 64):
+        d = 10.0 ** (-e / 4)
+        radii += [shift - k + d, shift + k - d]
+    return radii
+
+
+class TestRadialJet:
+    @pytest.mark.parametrize("k", [19.0, 18.0, 2.0])
+    def test_bit_for_bit_at_special_radii(self, k):
+        profile = WarpingProfile.interpolated(k)
+        radii = special_radii(k)
+        steps = [reference_step(k, r) for r in radii]
+        shift = k + 1.0 / k
+        # both underflow tails are hit: r inside the window with the step
+        # exactly flat or exactly hyperbolic
+        assert any(s == (0.0, 0.0, 0.0) and -k < r - shift < k
+                   for r, s in zip(radii, steps))
+        assert any(s[:2] == (1.0, 0.0) and -k < r - shift < k
+                   for r, s in zip(radii, steps))
+        self.assert_matches(profile, radii)
+
+    def test_bit_for_bit_at_seeded_radii(self, ramp19):
+        radii = np.random.default_rng(17).uniform(0.0, 45.0, 10_000).tolist()
+        self.assert_matches(ramp19, radii)
+
+    @pytest.mark.parametrize("variant", ["flat_profile",
+                                         "hyperbolic_profile"])
+    def test_bit_for_bit_on_the_pure_variants(self, request, variant):
+        profile = request.getfixturevalue(variant)
+        self.assert_matches(profile, [0.0, 1e-300, 0.01, 0.75, 3.0, 45.0,
+                                      700.0])
+
+    @staticmethod
+    def assert_matches(profile, radii):
+        for r in radii:
+            step, jet, ratios = reference_jet(profile, r)
+            got_jet, got_ratios = profile.jet_ratios(r)
+            assert hexes(got_jet) == hexes(jet), r
+            assert hexes(got_ratios) == hexes(ratios), r
+            assert hexes(profile.jet(r)) == hexes(jet), r
+            assert hexes(profile.sigma_tau(r)) == hexes(jet[:6]), r
+            assert hexes(profile.rho_jet(r)) == hexes(step), r
+            assert hexes(profile.curvature_ratios(r)) == hexes(ratios), r
+            if profile.bump is not None:
+                assert hexes(profiles.rho(profile.bump, r)) == hexes(step)
+
+    @pytest.mark.parametrize("variant", ["flat_profile", "hyperbolic_profile",
+                                         "ramp19"])
+    def test_negative_radius_raises_everywhere(self, request, variant):
+        profile = request.getfixturevalue(variant)
+        for r in (-0.1, -1e-300, -math.inf):
+            for method in (profile.sigma_tau, profile.jet, profile.jet_ratios,
+                           profile.rho_jet, profile.curvature_ratios):
+                with pytest.raises(ValueError):
+                    method(r)
+
+    @pytest.mark.parametrize("variant", ["hyperbolic_profile", "ramp19"])
+    def test_overflow_past_710_only_where_sinh_is_needed(self, request,
+                                                         variant):
+        profile = request.getfixturevalue(variant)
+        for r in (711.0, 1e6):
+            for method in (profile.sigma_tau, profile.jet,
+                           profile.jet_ratios):
+                with pytest.raises(OverflowError):
+                    method(r)
+            assert profile.rho_jet(r) == (1.0, 0.0, 0.0)
+            assert profile.curvature_ratios(r) == (-1.0,) * 4
+
+    def test_step_and_pure_piece_ratios_evaluate_no_sinh(self, monkeypatch,
+                                                         flat_profile,
+                                                         hyperbolic_profile,
+                                                         ramp19):
+        def poisoned(_):
+            raise AssertionError("sinh or cosh evaluated")
+
+        monkeypatch.setattr(math, "sinh", poisoned)
+        monkeypatch.setattr(math, "cosh", poisoned)
+        for profile in (flat_profile, hyperbolic_profile, ramp19):
+            for r in (0.0, 0.01, 12.0, 45.0, 1e6):
+                profile.rho_jet(r)
+        assert flat_profile.curvature_ratios(3.0) == (0.0,) * 4
+        assert ramp19.curvature_ratios(0.01) == (0.0,) * 4
+        for profile in (hyperbolic_profile, ramp19):
+            assert profile.curvature_ratios(45.0) == (-1.0,) * 4
+
+    @pytest.mark.parametrize("r", [12, np.float64(12.0), np.float32(0.01),
+                                   np.float64(45.0)])
+    def test_python_floats_for_any_real_radius(self, ramp19, r):
+        jet, ratios = ramp19.jet_ratios(r)
+        hexes((*jet, *ratios, *ramp19.jet(r), *ramp19.sigma_tau(r),
+               *ramp19.curvature_ratios(r)))
+
+    @pytest.mark.parametrize("profile", [
+        WarpingProfile.flat(), WarpingProfile.hyperbolic(),
+        WarpingProfile.interpolated(19.0), WarpingProfile.interpolated(2.5)])
+    def test_frozen_hashable_and_picklable(self, profile):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(profile, protocol))
+            assert back == profile
+            assert hash(back) == hash(profile)
+            assert back.jet_ratios(12.0) == profile.jet_ratios(12.0)
+        assert copy.deepcopy(profile) == profile
+        assert {profile: 1}[dataclasses.replace(profile)] == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.variant = "flat"
+
+
+# ---------------------------------------------------------------------------
 # grid verification
 # ---------------------------------------------------------------------------
 
@@ -489,6 +670,23 @@ class TestGridVerification:
                                                    abs=1e-10)
         assert float(refined.x) == pytest.approx(UNIT_RAMP_ARGMIN_REFINED,
                                                  abs=1e-6)
+
+    @pytest.mark.parametrize("variant", ["flat_profile", "hyperbolic_profile",
+                                         "ramp19"])
+    def test_step_evaluated_once(self, request, monkeypatch, variant):
+        profile = request.getfixturevalue(variant)
+        rho_many = profiles.rho_many
+        calls = []
+
+        def counted(spec, rs):
+            calls.append(len(rs))
+            return rho_many(spec, rs)
+
+        monkeypatch.setattr(profiles, "rho_many", counted)
+        report = profiles.verify_profile(profile, 45.0, 1e-2)
+        assert calls == ([4501] if profile.bump is not None else [])
+        monkeypatch.undo()
+        assert report == profiles.verify_profile(profile, 45.0, 1e-2)
 
     def test_report_metadata(self, ramp19):
         report = profiles.verify_profile(ramp19, 60.0, 1e-3)
