@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import metadata
 from typing import Callable, Mapping, Sequence
 
@@ -164,8 +164,6 @@ _parse_ints = _parse_list(int, "integers")
 
 def _canonical(value) -> str:
     """Stable string form of an effective flag value for the report."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return _format_float(value)
     if isinstance(value, tuple):
@@ -377,7 +375,6 @@ def _run_verify_curvature(cfg: Mapping[str, object]) -> list[CheckResult]:
 _GEODESIC_OPTS = _COMMON + (
     Option("variant", str, "interpolated", "profile family"),
     Option("k", _float, 19.0, "interpolation sharpness"),
-    Option("n", int, 1, "sphere-factor half-dimension"),
     Option("chart", str, "polar", "integration chart: polar or cartesian"),
     Option("position", _parse_floats, (0.05, 0.0, 0.0), "start coordinates"),
     Option("velocity", _parse_floats, (0.1, 0.2, 1.0), "start velocity"),
@@ -395,31 +392,24 @@ def _coordinate_names(chart: MetricChart) -> list[str]:
 
 
 def _run_geodesic(cfg: Mapping[str, object]) -> str:
-    profile = _profile_from(cfg)
-    n = int(cfg["n"])
-    kind = str(cfg["chart"])
-    if kind == "polar":
-        chart = MetricChart.polar(profile, n)
-    elif kind == "cartesian":
-        chart = MetricChart.cartesian(profile, n)
-    else:
-        raise ValueError(f"chart must be polar or cartesian, got {kind!r}")
     position = np.asarray(cfg["position"], dtype=float)
     velocity = np.asarray(cfg["velocity"], dtype=float)
-    if position.shape != (chart.dim,) or velocity.shape != (chart.dim,):
+    if velocity.shape != position.shape:
         raise ValueError(
-            f"position and velocity need {chart.dim} components each")
+            "position and velocity need the same number of components")
+    chart = MetricChart(str(cfg["chart"]), position.size - 1,
+                        _profile_from(cfg))
     if bool(cfg["normalize"]):
         velocity = flow.normalize_velocity(chart, position, velocity)
     state = flow.PhaseState(position, velocity)
     try:
         path = flow.integrate_geodesic(
             chart, state, float(cfg["duration"]), float(cfg["step"]),
-            record_every=max(int(cfg["record-every"]), 1))
+            record_every=int(cfg["record-every"]))
     except flow.ChartExitError as exc:
         if exc.partial is None or exc.partial.duration <= 0.0:
             raise ValueError(
-                f"geodesic left the {kind} chart immediately ({exc}); "
+                f"geodesic left the {chart.kind} chart immediately ({exc}); "
                 "try the cartesian chart for near-axis starts")
         print(f"note: chart exit at t={exc.time:.6g}; trajectory truncated",
               file=sys.stderr)
@@ -437,7 +427,6 @@ def _run_geodesic(cfg: Mapping[str, object]) -> str:
 
 _HOLONOMY_OPTS = _COMMON + (
     Option("k", _float, 19.0, "interpolation sharpness"),
-    Option("n", int, 1, "number of rotation blocks"),
     Option("length", _float, 1.0, "translation length of the screw motion"),
     Option("angles", _parse_floats, (1.0,), "rotation angles per block"),
     Option("step", _float, flow.DEFAULT_STEP, "transport integrator step"),
@@ -447,12 +436,8 @@ _HOLONOMY_OPTS = _COMMON + (
 
 def _cylinder_from(cfg: Mapping[str, object]) -> cylinder.TwistedCylinder:
     angles = tuple(float(a) for a in cfg["angles"])
-    n = int(cfg.get("n", len(angles)))
-    if n != len(angles):
-        raise ValueError(
-            f"{len(angles)} rotation angles given but n={n} blocks requested")
     return cylinder.TwistedCylinder(
-        n=n,
+        n=len(angles),
         length=float(cfg["length"]),
         rho=cylinder.RotationBlock(angles),
         profile=WarpingProfile.interpolated(float(cfg["k"])),
@@ -919,15 +904,8 @@ def _run_report_all(cfg: Mapping[str, object]) -> list[CheckResult]:
         sub_cfg = {opt.name: opt.default for opt in command.options}
         sub_cfg.update(overrides)
         sub_cfg["seed"] = seed
-        for result in command.runner(sub_cfg):
-            checks.append(
-                CheckResult(
-                    name=f"{name}:{result.name}",
-                    passed=result.passed,
-                    worst_value=result.worst_value,
-                    location=result.location,
-                )
-            )
+        checks += [replace(result, name=f"{name}:{result.name}")
+                   for result in command.runner(sub_cfg)]
     return checks
 
 
@@ -982,7 +960,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", metavar="command")
     for cmd in _COMMANDS.values():
-        sub = subparsers.add_parser(cmd.name, help=cmd.help)
+        # no prefix matching: a removed flag must not turn into another one
+        sub = subparsers.add_parser(cmd.name, help=cmd.help,
+                                    allow_abbrev=False)
         for opt in cmd.options:
             sub.add_argument(f"--{opt.name}", dest=opt.name, default=None,
                              metavar="V", help=opt.help)

@@ -48,10 +48,9 @@ from .geometry import (
     POLAR,
     R_MIN,
     ChartDomainError,
-    ChartPoint,
     MetricChart,
     adapted_components_raw,
-    axis_coefficients,
+    axis_coefficient_jets,
     axis_jet_ratios,
     cartesian_to_polar,
     christoffel,
@@ -157,9 +156,6 @@ class GeodesicPath:
     def state(self, index: int = -1) -> PhaseState:
         return PhaseState(self.positions[index], self.velocities[index])
 
-    def point(self, index: int = -1) -> ChartPoint:
-        return self.chart.point(self.positions[index])
-
     def radii(self) -> np.ndarray:
         return self.chart.radius_of(self.positions)
 
@@ -252,7 +248,8 @@ def _connection(chart: MetricChart) -> Tuple[Callable, Callable]:
         d = chart.block_dim
 
         def jet(pos, v):
-            return axis_coefficients(profile, math.sqrt(_dot(x := pos[:d], x)))
+            x = pos[:d]
+            return axis_coefficient_jets(profile, math.sqrt(_dot(x, x)))[:6]
 
         def rates(coeffs, pos, v, w):
             a, b, apr, bpr, tau2, tpr = coeffs
@@ -365,8 +362,8 @@ def _step_count(duration: float, step: float) -> Tuple[int, float]:
 
 def _rk4(rhs: Callable, y: list, n_steps: int, h: float, before: Callable,
          after: Callable) -> list:
-    """Classical RK4 over a state held as a list of components (plain
-    floats or arrays); ``rhs(y)`` returns the list of component rates.
+    """Classical RK4 over a state held as a list of Python floats;
+    ``rhs(y)`` returns the list of their rates.
 
     ``before(i, y)`` sees node i ahead of step i and may raise;
     ``after(i, y)`` sees node i + 1 and may raise or replace components.

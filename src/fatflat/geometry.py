@@ -208,9 +208,9 @@ def axis_coefficient_jets(profile: WarpingProfile, r: float):
 
 
 def axis_jet_ratios(profile: WarpingProfile, r: float):
-    """(axis_coefficients(profile, r), *profile.jet_ratios(r)) from one rho
-    evaluation, as a Riccati stage on the Cartesian chart needs them; the
-    radial jet raises OverflowError past r ~ 710 as jet_ratios does."""
+    """(axis_coefficient_jets(profile, r)[:6], *profile.jet_ratios(r)) from
+    one rho evaluation, as a Riccati stage on the Cartesian chart needs them;
+    the radial jet raises OverflowError past r ~ 710 as jet_ratios does."""
     step = profile.rho_jet(r)
     jet = _step_jet(r, *step)
     return (_checked_axis_jets(r, step)[:6], jet,
@@ -263,11 +263,6 @@ def _axis_coefficient_jets(r: float, step):
     bpr2 = (-phi_pp * r2 + 5.0 * phi_p * r - 8.0 * phi) / (r4 * r2)
     tpr2 = (2.0 * (tau_p * tau_p + tau * tau_pp) - tpr) / r2
     return a_val, b_val, apr, bpr, tau2, tpr, apr2, bpr2, tpr2
-
-
-def axis_coefficients(profile: WarpingProfile, r: float):
-    """(A, B, A'/r, B'/r, tau^2, 2 tau tau'/r) at radius r >= 0."""
-    return _checked_axis_jets(r, profile.rho_jet(r))[:6]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +389,7 @@ def _metric_inverse_raw(chart: MetricChart, coords: np.ndarray,
         d = chart.block_dim
         x = coords[:d]
         r = chart.radius_of(coords)
-        a_val, b_val, _, _, tau2, _ = axis_coefficients(chart.profile, r)
+        a_val, b_val, _, _, tau2 = axis_coefficient_jets(chart.profile, r)[:5]
         ginv = np.zeros((chart.dim, chart.dim))
         # (A I + B x x^T)^-1 = (I - B x x^T)/A since A + B r^2 = 1
         ginv[:d, :d] = (np.eye(d) - b_val * np.outer(x, x)) / a_val
@@ -413,18 +408,17 @@ def metric_inverse(point: ChartPoint) -> np.ndarray:
     return _metric_inverse_raw(point.chart, point.coords, g)
 
 
-def _gamma_from_jets(g: np.ndarray, dg: np.ndarray,
-                     ginv: np.ndarray) -> np.ndarray:
-    # C[m, j, k] = d_j g_mk + d_k g_mj - d_m g_jk
+def _gamma_from_jets(dg: np.ndarray, ginv: np.ndarray):
+    # (Gamma, C) with C[m, j, k] = d_j g_mk + d_k g_mj - d_m g_jk
     c = (np.einsum("jmk->mjk", dg) + np.einsum("kmj->mjk", dg) - dg)
-    return 0.5 * np.einsum("im,mjk->ijk", ginv, c)
+    return 0.5 * np.einsum("im,mjk->ijk", ginv, c), c
 
 
 def christoffel(point: ChartPoint) -> np.ndarray:
     """Connection coefficients Gamma[i, j, k] = Gamma^i_jk at the point."""
     chart = point.chart
     g, dg = _metric_jets(chart, point.coords, 1)
-    return _gamma_from_jets(g, dg, _metric_inverse_raw(chart, point.coords, g))
+    return _gamma_from_jets(dg, _metric_inverse_raw(chart, point.coords, g))[0]
 
 
 def _dgamma_analytic(chart: MetricChart, coords: np.ndarray):
@@ -432,8 +426,7 @@ def _dgamma_analytic(chart: MetricChart, coords: np.ndarray):
     closed-form metric jets to second order."""
     g, dg, d2g = _metric_jets(chart, coords, 2)
     ginv = _metric_inverse_raw(chart, coords, g)
-    c = (np.einsum("jmk->mjk", dg) + np.einsum("kmj->mjk", dg) - dg)
-    gamma = 0.5 * np.einsum("im,mjk->ijk", ginv, c)
+    gamma, c = _gamma_from_jets(dg, ginv)
     dginv = -np.einsum("ia,lab,bj->lij", ginv, dg, ginv)
     dc = (np.einsum("ljmk->lmjk", d2g) + np.einsum("lkmj->lmjk", d2g)
           - np.einsum("lmjk->lmjk", d2g))
@@ -479,12 +472,11 @@ def riemann(point: ChartPoint) -> np.ndarray:
     return _riemann_from_gamma(g, gamma, dgamma)
 
 
-def riemann_fd(point: ChartPoint, h: float | None = None) -> np.ndarray:
+def riemann_fd(point: ChartPoint) -> np.ndarray:
     """Cross-check variant of riemann: the derivatives of Gamma come from a
-    fourth-order central stencil (step 1e-5 * max(1, r) by default) instead
-    of the closed-form metric jets."""
-    if h is None:
-        h = 1e-5 * max(1.0, point.radius)
+    fourth-order central stencil with the fixed step h = 1e-5 * max(1, r)
+    in every coordinate instead of the closed-form metric jets."""
+    h = 1e-5 * max(1.0, point.radius)
     gamma, dgamma = _dgamma_stencil(point.chart, point.coords, h)
     return _riemann_from_gamma(metric_tensor(point), gamma, dgamma)
 

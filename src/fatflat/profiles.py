@@ -21,13 +21,17 @@ from numpy.polynomial.legendre import leggauss
 
 @dataclass(frozen=True)
 class BumpSpec:
-    """Parameters of the bump exp(-k^2/(k^2 - x^2)) on (-k, k)."""
+    """Parameters of the bump exp(-k^2/(k^2 - x^2)) on (-k, k).  Its
+    derivative divides by u^2 with u = k^2 - x^2 <= k^2, so k runs from 1
+    to about 1.158e77, where k^4 leaves the double range."""
 
     k: float
 
     def __post_init__(self):
-        if not self.k >= 1.0:
-            raise ValueError(f"bump width k must be >= 1, got {self.k}")
+        k = float(self.k)
+        if not (k >= 1.0 and math.isfinite((k * k) * (k * k))):
+            raise ValueError(
+                f"bump width k must be >= 1 with k^4 finite, got {self.k}")
 
 
 def bump_f(spec: BumpSpec, x: float) -> float:
@@ -112,15 +116,6 @@ def _F_fast_many(k: float, xs: np.ndarray) -> np.ndarray:
     pts = (a + halfw)[:, None] + halfw[:, None] * _GL_NODES[None, :]
     vals = bump_f_many(BumpSpec(k), pts.ravel()).reshape(pts.shape)
     return cum[idx] + halfw * (vals @ _GL_WEIGHTS)
-
-
-def rho(spec: BumpSpec, r: float) -> tuple[float, float, float]:
-    """Smoothed step (value, first, second derivative) at radius r >= 0.
-
-    rho ramps from 0 to 1 as r crosses the window
-    [1/k, 2k + 1/k]; it is identically 0 and 1 outside.
-    """
-    return _radial_jet("interpolated", spec.k)[1](r, False)[0]
 
 
 def rho_many(spec: BumpSpec, rs: np.ndarray):
@@ -343,7 +338,8 @@ class WarpingProfile:
         return 1.0 / self.matching_radius
 
     def rho_jet(self, r: float) -> tuple[float, float, float]:
-        """(rho, rho', rho'') at radius r >= 0; evaluates no sinh."""
+        """(rho, rho', rho'') at r >= 0, 0 before the window [1/k, 2k + 1/k]
+        and 1 after it; evaluates no sinh."""
         return self._radial(r, False)[0]
 
     def jet(self, r: float):

@@ -2,8 +2,8 @@
 
 All scans in this package draw from counter-based Philox streams so that a
 result depends only on (seed, sample index), never on how the samples are
-grouped.  Every sample is still its own (seed, index) Philox stream, now
-reached by re-keying one bit generator instead of building one per sample.
+grouped.  Every sample is its own (seed, index) Philox stream, reached by
+re-keying one bit generator (see :func:`sample_streams`).
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Shared fixtures: the three warping-profile variants and chart builders,
 and the per-sample stream oracle."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,17 @@ def sample_stream(seed, index):
     re-keyed route of ``fatflat.rng.sample_streams``."""
     key = ((seed & MASK64) << 64) | (index & MASK64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def largest_bump_width():
+    """The largest double k whose k^4 = (k * k) * (k * k) is finite: the
+    bump's derivative divides by u^2, and u = k^2 - x^2 reaches k^2."""
+    k = sys.float_info.max ** 0.25
+    while math.isfinite((k * k) * (k * k)):
+        k = math.nextafter(k, math.inf)
+    while not math.isfinite((k * k) * (k * k)):
+        k = math.nextafter(k, 0.0)
+    return k
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from fatflat import cli
+from fatflat import cli, flow
 from fatflat.cli import CheckResult, VerificationReport, canonical_json, run
+from fatflat.geometry import MetricChart
+from fatflat.profiles import WarpingProfile
+
+from conftest import largest_bump_width
 
 
 def run_to_file(tmp_path, name, argv):
@@ -106,6 +110,26 @@ class TestExitCodes:
         config.write_text("k = nan\n")
         assert run(["verify-profile", "--config", str(config)]) == 2
         assert "--k: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [
+        math.nextafter(largest_bump_width(), math.inf), 1e154, 1e300])
+    def test_bump_width_past_double_range_returns_two(self, capsys, k):
+        assert run(["verify-profile", "--k", repr(k)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bump width k must be >= 1 with k^4 finite, " \
+                      f"got {k!r}\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_bump_width_runs_clean(self, capsys):
+        assert run(["verify-profile", "--k", repr(largest_bump_width())]) == 0
+        assert capsys.readouterr().err.startswith("wall_time: ")
+
+    @pytest.mark.parametrize("command", ["holonomy", "geodesic"])
+    def test_block_count_flag_is_gone(self, capsys, command):
+        # the angles and the position fix the block count
+        assert run([command, "--n", "1"]) == 2
+        assert "unrecognized arguments: --n 1" in capsys.readouterr().err
 
     def test_overflowing_input_returns_two(self, capsys):
         assert run(["verify-curvature", "--r-max", "300",
@@ -330,12 +354,80 @@ class TestGeodesicCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflow at r = 711:" in err
 
-    def test_unknown_chart_rejected(self):
+    def test_unknown_chart_rejected(self, capsys):
         assert run(["geodesic", "--chart", "spherical"]) == 2
+        assert "unknown chart kind 'spherical'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chart,position,names", [
+        ("polar", "12,0.3,0.2,0.1,0", "r,a1,a2,a3,z"),
+        ("cartesian", "12,0.3,0.2,0.1,0", "x1,x2,x3,x4,z"),
+        ("polar", "12,1.2,0.3,0", "r,a1,a2,z")])
+    def test_block_dimension_from_the_position(self, tmp_path, chart,
+                                               position, names):
+        # the block dimension is the position's length minus one (for z)
+        velocity = ",".join(["0.1"] * position.count(",") + ["0.5"])
+        code, out = run_to_file(
+            tmp_path, "orbit.csv",
+            ["geodesic", "--chart", chart, "--position", position,
+             "--velocity", velocity, "--duration", "0.5"])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        v_names = ",".join(f"v_{c}" for c in names.split(","))
+        assert lines[0] == f"t,{names},{v_names},energy"
+        assert len(lines) == 52
+        energies = [float(line.split(",")[-1]) for line in lines[1:]]
+        assert energies == pytest.approx([1.0] * 51, abs=1e-9)
+
+    @pytest.mark.parametrize("stride", ["0", "-5"])
+    def test_nonpositive_record_stride_returns_two(self, capsys, stride):
+        code = run(["geodesic", "--duration", "0.1",
+                    "--record-every", stride])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: record_every must be >= 1\n"
+
+    def test_unnormalized_velocity_keeps_its_energy(self, tmp_path):
+        # --normalize false: the energy column is g(v, v) of the velocity
+        # as given, here about 1.02 at r = 5 on k = 19
+        position, velocity = [5.0, 0.0, 0.0], [0.1, 0.2, 1.0]
+        code, out = run_to_file(
+            tmp_path, "raw.csv",
+            ["geodesic", "--position", "5,0,0", "--velocity", "0.1,0.2,1.0",
+             "--duration", "0.5", "--normalize", "false"])
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.read_text().splitlines()[1:]]
+        chart = MetricChart.polar(WarpingProfile.interpolated(19.0), 1)
+        energy = flow.kinetic_energy(chart, position, velocity)
+        assert abs(energy - 1.0) > 1e-3
+        assert rows[0][4:7] == velocity
+        assert rows[0][-1] == pytest.approx(energy, rel=1e-15)
+        assert [r[-1] for r in rows] == pytest.approx(
+            [energy] * len(rows), rel=1e-9)
+
+    def test_non_boolean_normalize_returns_two(self, capsys):
+        assert run(["geodesic", "--normalize", "maybe"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --normalize: expected a boolean, got 'maybe'\n"
 
     def test_wrong_component_count_rejected(self, capsys):
         assert run(["geodesic", "--position", "1.0,0.0"]) == 2
         assert "components" in capsys.readouterr().err
+
+
+class TestHolonomyCommand:
+    def test_block_count_is_the_number_of_angles(self, tmp_path):
+        code, out = run_to_file(tmp_path, "hol.json",
+                                ["holonomy", "--angles", "1.0,2.0"])
+        assert code == 0
+        report = load_report(out)
+        assert "n" not in report["parameters"]
+        assert report["parameters"]["angles"] == "1,2"
+        for check in report["checks"]:
+            assert check["passed"]
+            assert check["location"] == "angles=(1,2)"
+        assert cli._cylinder_from({"angles": (1.0, 2.0), "length": 1.0,
+                                   "k": 19.0}).n == 2
 
 
 class TestFiniteFieldCommand:

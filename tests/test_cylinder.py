@@ -412,6 +412,36 @@ class TestSingularMembership:
         assert report.max_radius == pytest.approx(
             0.005 + 5.0 * math.sin(tilt), abs=5e-3)
 
+    def test_polar_chunk_falling_below_the_floor_hands_over(
+            self, ramp19, monkeypatch):
+        # the first chunk starts in the polar chart (r0 >= 2 * the floor)
+        # and falls below POLAR_EXIT_RADIUS at t ~ 0.37, inside the chunk;
+        # the rest of the orbit crosses the axis in the Cartesian chart
+        cyl = make_cylinder(ramp19)
+        x0, vr = 0.021, -0.03
+        state = PhaseState(np.array([x0, 0.0, 0.0]),
+                           np.array([vr, 0.0, math.sqrt(1.0 - vr * vr)]))
+        exits = []
+        integrate = flow.integrate_geodesic
+
+        def spy(chart, *args, **kwargs):
+            try:
+                return integrate(chart, *args, **kwargs)
+            except flow.ChartExitError as exc:
+                exits.append((chart.kind, exc.time))
+                raise
+
+        monkeypatch.setattr(flow, "integrate_geodesic", spy)
+        times, radii = cylinder._integrate_radius_profile(
+            cyl, state, 1.5, flow.DEFAULT_STEP)
+        assert [kind for kind, _ in exits] == [geometry.POLAR]
+        assert 0.36 < exits[0][1] < 0.37
+        assert times[-1] == pytest.approx(1.5, abs=1e-12)
+        assert_close(radii, np.abs(x0 + vr * times), abs_tol=1e-9)
+        report = singular_membership(cyl, state, duration=1.5)
+        assert report.member
+        assert report.max_radius == pytest.approx(0.024, abs=1e-9)
+
     def test_non_unit_speed_rejected(self, ramp19):
         cyl = make_cylinder(ramp19)
         state = PhaseState(np.array([0.005, 0.0, 0.0]),

@@ -21,7 +21,7 @@ from scipy.optimize import minimize_scalar
 from fatflat import geometry, profiles
 from fatflat.profiles import BumpSpec, WarpingProfile
 
-from conftest import assert_close
+from conftest import assert_close, largest_bump_width
 
 # total bump mass, frozen from gauss_total_mass(k) (10^4 panels, 12 nodes);
 # bitwise-identical to a 50-digit tanh-sinh quadrature rounded to double
@@ -168,6 +168,30 @@ class TestBumpFunction:
         with pytest.raises(ValueError):
             BumpSpec(0.5)
 
+    @pytest.mark.parametrize("k", [
+        math.nextafter(largest_bump_width(), math.inf), 9.5e153, 1e155,
+        1e300, math.inf, math.nan])
+    def test_width_whose_fourth_power_overflows_rejected(self, k):
+        with pytest.raises(ValueError, match="bump width k"):
+            BumpSpec(k)
+
+    def test_largest_width_keeps_every_bump_term_finite(self):
+        # u^2 in the derivative reaches k^4 at the window's centre; at the
+        # largest accepted k the step jet across the window is finite and
+        # scales like the k = 1e6 one: p ~ 1, p' ~ 1/k, p'' ~ 1/k^2
+        k = largest_bump_width()
+        assert 1.1579e77 < k < 1.158e77
+        wide, ref = (WarpingProfile.interpolated(w) for w in (k, 1e6))
+        for s in np.linspace(0.05, 1.95, 20).tolist():
+            p, p1, p2 = wide.rho_jet(k * s)
+            q, q1, q2 = ref.rho_jet(1e6 * s)
+            assert p == pytest.approx(q, rel=1e-9)
+            assert p1 * k == pytest.approx(q1 * 1e6, rel=1e-9)
+            assert p2 * (k * k) == pytest.approx(q2 * 1e12, rel=1e-9), s
+            assert p2 != 0.0 and (p2 > 0.0) == (s < 1.0)
+        steps = profiles.rho_many(wide.bump, k * np.linspace(0.05, 1.95, 20))
+        assert all(np.isfinite(c).all() for c in steps)
+
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
             bump_integral_F(BumpSpec(2.0), 1.0, tol=0.0)
@@ -269,22 +293,27 @@ class TestCumulativeMass:
 # ramp
 # ---------------------------------------------------------------------------
 
+def ramp_step(spec, r):
+    """(rho, rho', rho'') of the interpolated profile with bump ``spec``."""
+    return WarpingProfile("interpolated", spec).rho_jet(r)
+
+
 class TestRamp:
     def test_zero_before_onset(self):
         spec = BumpSpec(18.0)
-        assert profiles.rho(spec, 0.05) == (0.0, 0.0, 0.0)
-        assert profiles.rho(spec, 1.0 / 18.0) == (0.0, 0.0, 0.0)
-        assert profiles.rho(spec, 0.0) == (0.0, 0.0, 0.0)
+        assert ramp_step(spec, 0.05) == (0.0, 0.0, 0.0)
+        assert ramp_step(spec, 1.0 / 18.0) == (0.0, 0.0, 0.0)
+        assert ramp_step(spec, 0.0) == (0.0, 0.0, 0.0)
 
     def test_half_at_midpoint(self):
         spec = BumpSpec(18.0)
-        value, _, _ = profiles.rho(spec, 18.0 + 1.0 / 18.0)
+        value, _, _ = ramp_step(spec, 18.0 + 1.0 / 18.0)
         assert value == pytest.approx(0.5, abs=1e-12)
 
     def test_one_after_completion(self):
         spec = BumpSpec(18.0)
-        assert profiles.rho(spec, 40.0) == (1.0, 0.0, 0.0)
-        assert profiles.rho(spec, 2 * 18.0 + 1.0 / 18.0) == (1.0, 0.0, 0.0)
+        assert ramp_step(spec, 40.0) == (1.0, 0.0, 0.0)
+        assert ramp_step(spec, 2 * 18.0 + 1.0 / 18.0) == (1.0, 0.0, 0.0)
 
     def test_range_and_monotonicity(self):
         spec = BumpSpec(19.0)
@@ -299,9 +328,9 @@ class TestRamp:
         spec = BumpSpec(19.0)
         h = 1e-5
         for r in np.linspace(0.2, 40.0, 57):
-            v_m, d_m, _ = profiles.rho(spec, float(r) - h)
-            v_p, d_p, _ = profiles.rho(spec, float(r) + h)
-            _, d, dd = profiles.rho(spec, float(r))
+            v_m, d_m, _ = ramp_step(spec, float(r) - h)
+            v_p, d_p, _ = ramp_step(spec, float(r) + h)
+            _, d, dd = ramp_step(spec, float(r))
             assert d == pytest.approx((v_p - v_m) / (2 * h),
                                       rel=1e-5, abs=1e-9)
             assert dd == pytest.approx((d_p - d_m) / (2 * h),
@@ -312,7 +341,7 @@ class TestRamp:
         rs = np.linspace(0.0, 6.0, 601)
         v, d, dd = profiles.rho_many(spec, rs)
         for i, r in enumerate(rs):
-            sv, sd, sdd = profiles.rho(spec, float(r))
+            sv, sd, sdd = ramp_step(spec, float(r))
             assert v[i] == pytest.approx(sv, rel=1e-13, abs=1e-15)
             assert d[i] == pytest.approx(sd, rel=1e-13, abs=1e-15)
             assert dd[i] == pytest.approx(sdd, rel=1e-13, abs=1e-15)
@@ -412,7 +441,7 @@ class TestWarpingFunctions:
             jet, ratios = ramp19.jet_ratios(r)
             values = (*ramp19.rho_jet(r), *ramp19.jet(r), *jet, *ratios,
                       *ramp19.sigma_tau(r),
-                      *geometry.axis_coefficients(ramp19, r))
+                      *geometry.axis_coefficient_jets(ramp19, r))
             assert all(type(v) is float for v in values), r
         r = np.float64(20.0)
         jet, ratios = ramp19.jet_ratios(r)
@@ -533,8 +562,6 @@ class TestRadialJet:
             assert hexes(profile.sigma_tau(r)) == hexes(jet[:6]), r
             assert hexes(profile.rho_jet(r)) == hexes(step), r
             assert hexes(profile.curvature_ratios(r)) == hexes(ratios), r
-            if profile.bump is not None:
-                assert hexes(profiles.rho(profile.bump, r)) == hexes(step)
 
     @pytest.mark.parametrize("variant", ["flat_profile", "hyperbolic_profile",
                                          "ramp19"])
@@ -663,7 +690,7 @@ class TestGridVerification:
                                                abs=1e-9)
 
         refined = minimize_scalar(
-            lambda r: sum(profiles.rho(spec, r)[::2]),
+            lambda r: sum(ramp_step(spec, r)[::2]),
             bounds=(float(grid[i]) - 2e-6, float(grid[i]) + 2e-6),
             method="bounded", options={"xatol": 1e-12})
         assert float(refined.fun) == pytest.approx(UNIT_RAMP_MIN_REFINED,
