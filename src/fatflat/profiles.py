@@ -11,7 +11,7 @@ a grid by verify_profile.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -85,10 +85,31 @@ def _bump_jet_many(k: float, xs: np.ndarray):
 # (variant, k): it binds Python-list copies of the table, Python-float nodes
 # and math.exp, so that no numpy scalar and no cache lookup reaches the
 # radial jet; the array path (_F_fast_many, rho_many) reads the arrays.
+#
+# The array path weights its panels only in _panel_sums, one BLAS product
+# per fixed block of 4096 rows counted from row 0, on the calling thread.
+# One product over a long batch would let BLAS split the rows across worker
+# threads: the split changes the last bit of some sums with the thread
+# count, and a woken worker spins on for tens of milliseconds after it.
+# A lone final row joins the block before it, as a one-row product takes
+# another BLAS routine and rounds differently.
 
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
 _GL_PAIRS = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
 _N_PANELS = 4096
+_PANEL_BLOCK = 4096
+
+
+def _panel_sums(vals: np.ndarray) -> np.ndarray:
+    """vals @ _GL_WEIGHTS for the (n, 12) node values of n panels, summed
+    in row blocks [0, 4096), [4096, 8192), ... with a lone last row merged
+    into the block before it, so that the bits depend only on the rows."""
+    n = len(vals)
+    if n <= _PANEL_BLOCK + 1:
+        return vals @ _GL_WEIGHTS
+    bounds = [*range(0, n - 1, _PANEL_BLOCK), n]
+    return np.concatenate([vals[a:b] @ _GL_WEIGHTS
+                           for a, b in zip(bounds, bounds[1:])])
 
 
 @lru_cache(maxsize=8)
@@ -100,7 +121,7 @@ def _bump_table(k: float):
     spec = BumpSpec(k)
     pts = mid[:, None] + half * _GL_NODES[None, :]
     vals = bump_f_many(spec, pts.ravel()).reshape(pts.shape)
-    panel = half * vals @ _GL_WEIGHTS
+    panel = _panel_sums(half * vals)
     cum = np.concatenate([[0.0], np.cumsum(panel)])
     return edges, cum, edges.tolist(), cum.tolist()
 
@@ -115,10 +136,13 @@ def _F_fast_many(k: float, xs: np.ndarray) -> np.ndarray:
     halfw = 0.5 * (xc - a)
     pts = (a + halfw)[:, None] + halfw[:, None] * _GL_NODES[None, :]
     vals = bump_f_many(BumpSpec(k), pts.ravel()).reshape(pts.shape)
-    return cum[idx] + halfw * (vals @ _GL_WEIGHTS)
+    return cum[idx] + halfw * _panel_sums(vals)
 
 
 def rho_many(spec: BumpSpec, rs: np.ndarray):
+    """(rho, rho', rho'') at the radii rs, an array each.  The panel sums
+    run in fixed 4096-row blocks on the calling thread (_panel_sums), so
+    the bits do not depend on the BLAS thread count."""
     k = spec.k
     y = np.asarray(rs, dtype=float) - (k + 1.0 / k)
     total = _bump_table(k)[1][-1]
@@ -358,6 +382,9 @@ class WarpingProfile:
         return self._radial(float(r))[1][:6]
 
     def sigma_tau_many(self, rs: np.ndarray):
+        """sigma_tau at every radius of rs, as six arrays.  The ramp's panel
+        sums run in fixed 4096-row blocks on the calling thread (see
+        _panel_sums): the bits do not depend on the BLAS thread count."""
         rs = np.asarray(rs, dtype=float)
         if rs.ndim == 0:  # as a batch of one, then 0-d arrays like the input
             return tuple(c.reshape(()) for c in self.sigma_tau_many(rs[None]))
@@ -421,6 +448,20 @@ class PropertyReport:
         return all(c.passed for c in self.checks)
 
 
+def _first_overflow(profile: WarpingProfile, rs: np.ndarray) -> float | None:
+    """The first radius of the ascending rs where the scalar jet overflows
+    (its sinh or cosh past r = 710.47...), or None."""
+    def overflows(r):
+        try:
+            profile.sigma_tau(r)
+        except OverflowError:
+            return True
+        return False
+
+    i = bisect_left(rs, True, key=overflows)
+    return float(rs[i]) if i < len(rs) else None
+
+
 def verify_profile(profile: WarpingProfile, grid_max: float = 60.0,
                    grid_step: float = 1e-3,
                    slack: float = -1e-10) -> PropertyReport:
@@ -428,11 +469,17 @@ def verify_profile(profile: WarpingProfile, grid_max: float = 60.0,
 
     Each check passes when its defining quantity stays >= slack at every
     grid point; the report records the worst value and where it occurred.
+    A grid past the profile's range, where the scalar jet's sinh or cosh
+    overflows (r > 710.47...), raises ValueError naming its first radius
+    there, before the array jet turns those radii into inf and NaN.
     """
     if grid_max <= 0 or grid_step <= 0:
         raise ValueError("grid bounds must be positive")
     n = int(round(grid_max / grid_step))
     rs = np.linspace(0.0, n * grid_step, n + 1)
+    if (r := _first_overflow(profile, rs)) is not None:
+        raise ValueError(f"grid radius r = {r!r} is past the profile's "
+                         "range: sinh or cosh overflows there")
     (p, _, p2), jet = profile._jet_many(rs)
     sigma, sigma_p, sigma_pp, tau, tau_p, tau_pp = jet
 

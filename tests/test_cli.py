@@ -121,6 +121,21 @@ class TestExitCodes:
                       f"got {k!r}\n"
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["interpolated", "hyperbolic"])
+    def test_grid_past_the_profile_range_returns_two(self, capsys, variant):
+        argv = ["verify-profile", "--variant", variant, "--grid-max", "800"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: grid radius r = 710.476 is past the profile's range: "
+            "sinh or cosh overflows there\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_flat_grid_past_710_runs(self, capsys):
+        argv = ["verify-profile", "--variant", "flat", "--grid-max", "800"]
+        assert run(argv) == 0
+        assert capsys.readouterr().err.startswith("wall_time: ")
+
+    @pytest.mark.filterwarnings("error")
     def test_largest_bump_width_runs_clean(self, capsys):
         assert run(["verify-profile", "--k", repr(largest_bump_width())]) == 0
         assert capsys.readouterr().err.startswith("wall_time: ")

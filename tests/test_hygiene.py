@@ -111,3 +111,48 @@ def test_every_export_in_src_resolves():
         importlib.import_module(f"fatflat.{path.stem}"))
         for path in modules if path.stem != "__init__"}
     assert {name: names for name, names in stale.items() if names} == {}
+
+
+PRODUCT_CALLS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot"}
+
+
+def products_reading(source: str, name: str, owner: str) -> list[int]:
+    """Lines of the products (``*``, ``@``, their augmented assignments, or
+    a dot, matmul, einsum, inner, tensordot or vdot call) that read
+    ``name`` outside the function ``owner``."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in ast.walk(tree)
+              if isinstance(top, ast.FunctionDef) and top.name == owner
+              for node in ast.walk(top)}
+    lines = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        product = (isinstance(node, (ast.BinOp, ast.AugAssign))
+                   and isinstance(node.op, (ast.Mult, ast.MatMult))
+                   or isinstance(node, ast.Call) and PRODUCT_CALLS & {
+                       getattr(node.func, "id", None),
+                       getattr(node.func, "attr", None)})
+        if product and any(
+                isinstance(n, ast.Name) and n.id == name
+                or isinstance(n, ast.Attribute) and n.attr == name
+                for n in ast.walk(node)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_a_weight_product_outside_its_helper():
+    source = ("W = [1.0]\n\n\ndef _sums(v):\n    return v @ W\n\n\n"
+              "def f(v):\n    return 2.0 * _sums(v) + v @ W\n\n\n"
+              "def g(v, np):\n    v *= W\n"
+              "    return np.einsum('ij,j', v, m.W)\n")
+    assert products_reading(source, "W", "_sums") == [9, 13, 14]
+
+
+def test_gauss_weights_are_applied_only_in_panel_sums():
+    # one BLAS product over a long batch wakes threaded BLAS, whose row
+    # split changes the bits; _panel_sums sums in fixed blocks instead
+    found = {path.name: products_reading(path.read_text(encoding="utf-8"),
+                                         "_GL_WEIGHTS", "_panel_sums")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -7,11 +7,20 @@ below must agree with them independently, and the package's panel table
 with it.
 """
 
+import ast
 import copy
 import dataclasses
+import hashlib
+import inspect
 import math
+import os
 import pickle
+import subprocess
+import sys
+import threading
+import time
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +296,129 @@ class TestCumulativeMass:
     def test_nonfinite_endpoint_rejected(self):
         with pytest.raises(ValueError):
             bump_integral_F(BumpSpec(2.0), float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# array panel sums: fixed row blocks on the calling thread
+# ---------------------------------------------------------------------------
+
+BLAS_SIZES = (4097, 40374, 65537, 100001)
+LONE_ROW_SIZES = (4097, 8193, 12289, 16385)
+
+
+def rho_digests(sizes, batches=4):
+    """{n: sha256 of rho_many's three arrays at k = 19} over ``batches``
+    seeded draws of n radii in (0.1, 0.4): there the partial panel
+    outweighs the panels before it, so that a last-bit change in one panel
+    sum reaches rho."""
+    digests = {}
+    for n in sizes:
+        digest = hashlib.sha256()
+        for batch in range(batches):
+            rs = np.random.default_rng([n, batch]).uniform(0.1, 0.4, n)
+            for column in profiles.rho_many(BumpSpec(19.0), rs):
+                digest.update(column.tobytes())
+        digests[n] = digest.hexdigest()
+    return digests
+
+
+def weight_digests(sizes, one_product=False, batches=4):
+    """{n: sha256 of the panel sums of rows} over ``batches`` seeded (n, 12)
+    arrays of standard normal rows, from _panel_sums or, if ``one_product``,
+    from one product with the Gauss weights."""
+    digests = {}
+    for n in sizes:
+        digest = hashlib.sha256()
+        for batch in range(batches):
+            rows = np.random.default_rng([n, batch]).standard_normal((n, 12))
+            digest.update((rows @ profiles._GL_WEIGHTS if one_product
+                           else profiles._panel_sums(rows)).tobytes())
+        digests[n] = digest.hexdigest()
+    return digests
+
+
+def one_blas_thread(function, *args):
+    """function(*args) in a child interpreter with OpenBLAS and OpenMP set
+    to one thread; the function goes over by its source, its literal result
+    comes back."""
+    child = "\n".join((
+        "import hashlib, sys",
+        f"sys.path.insert(0, {str(Path(profiles.__file__).parents[1])!r})",
+        "import numpy as np",
+        "from fatflat import profiles",
+        "from fatflat.profiles import BumpSpec",
+        inspect.getsource(function),
+        f"print({function.__name__}(*{args!r}))"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", child], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return ast.literal_eval(out)
+
+
+def other_threads_cpu_s():
+    """CPU seconds used so far by this process's threads other than the
+    calling one, from /proc/self/task/*/schedstat."""
+    me, total = threading.get_native_id(), 0
+    for task in Path("/proc/self/task").iterdir():
+        if int(task.name) != me:
+            try:
+                total += int((task / "schedstat").read_text().split()[0])
+            except (FileNotFoundError, ProcessLookupError):
+                pass  # the thread ended meanwhile
+    return total * 1e-9
+
+
+class TestPanelSums:
+    def test_array_jet_bits_do_not_depend_on_blas_threads(self):
+        # one BLAS product over a long batch splits its rows across worker
+        # threads, and the split moves the last bit of some panel sums
+        here = rho_digests(BLAS_SIZES)
+        one_thread = one_blas_thread(rho_digests, BLAS_SIZES)
+        same = {n: here[n] == one_thread[n] for n in BLAS_SIZES}
+        assert same == dict.fromkeys(BLAS_SIZES, True)
+
+    def test_blocks_with_a_lone_last_row_match_one_product(self):
+        # a one-row product takes another BLAS routine: the lone row past
+        # the last full block is summed with the block before it
+        one_thread = one_blas_thread(weight_digests, LONE_ROW_SIZES, True)
+        assert weight_digests(LONE_ROW_SIZES) == one_thread
+
+    def test_verify_profile_leaves_blas_workers_idle(self, ramp19):
+        me = Path(f"/proc/self/task/{threading.get_native_id()}/schedstat")
+        if not os.access(me, os.R_OK):
+            pytest.skip("per-thread CPU times are not readable here")
+        # let a worker woken by an earlier product stop spinning
+        deadline = time.monotonic() + 2.0
+        settled = other_threads_cpu_s()
+        while time.monotonic() < deadline:
+            time.sleep(0.05)
+            before, settled = settled, other_threads_cpu_s()
+            if settled - before < 1e-3:
+                break
+        profiles.verify_profile(ramp19)
+        end = time.perf_counter() + 0.15
+        while time.perf_counter() < end:
+            pass
+        assert other_threads_cpu_s() - settled < 0.02
+
+    def test_empty_and_single_radius_batches(self, ramp19):
+        assert profiles._F_fast_many(19.0, np.empty(0)).shape == (0,)
+        assert all(c.shape == (0,) for c in ramp19.sigma_tau_many(np.empty(0)))
+        one = profiles._F_fast_many(19.0, np.array([-7.3]))
+        assert one.shape == (1,)
+        assert one[0].hex() == "0x1.abad510984667p+0"
+        frozen = {
+            12.0: ("0x1.0791f2f48dd9ap+14", "0x1.36aff79d37e49p+14",
+                   "0x1.686cc2dc7f038p+14", "0x1.076f1085a197dp+14",
+                   "0x1.36ae6e6bb9838p+14", "0x1.686d24fcca1d8p+14"),
+            0.5: ("0x1.00000000000cbp-1", "0x1.00000000016dep+0",
+                  "0x1.3341935052ab4p-34", "0x1.0000000000265p+0",
+                  "0x1.0b3d0e8010a1ap-37", "0x1.afe6093e3c84fp-32"),
+        }
+        for r, values in frozen.items():
+            jet = ramp19.sigma_tau_many(np.array([r]))
+            assert all(c.shape == (1,) for c in jet)
+            assert tuple(c[0].hex() for c in jet) == values, r
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +846,20 @@ class TestGridVerification:
         assert calls == ([4501] if profile.bump is not None else [])
         monkeypatch.undo()
         assert report == profiles.verify_profile(profile, 45.0, 1e-2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["hyperbolic_profile", "ramp19"])
+    def test_grid_past_the_profile_range_raises(self, request, variant):
+        # the first grid radius where sinh or cosh overflows, as the scalar
+        # jet finds it: 710.476 on the 1e-3 grid, 710.5 on the 0.5 grid
+        profile = request.getfixturevalue(variant)
+        for grid_max, step, first in ((800.0, 1e-3, "710.476"),
+                                      (720.0, 0.5, "710.5")):
+            with pytest.raises(ValueError, match=f"r = {first} is past"):
+                profiles.verify_profile(profile, grid_max, step)
+            with pytest.raises(OverflowError):
+                profile.sigma_tau(float(first))
+        assert profiles.verify_profile(profile, 710.475, 1e-3).all_passed
 
     def test_report_metadata(self, ramp19):
         report = profiles.verify_profile(ramp19, 60.0, 1e-3)
