@@ -158,6 +158,14 @@ def _parse_list(parse: Callable[[str], object], what: str):
     return parse_list
 
 
+def _count(text: str) -> int:
+    """int(text), at least 1: a check over no samples has no evidence."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {text.strip()!r}")
+    return value
+
+
 _parse_floats = _parse_list(_float, "numbers")
 _parse_ints = _parse_list(int, "integers")
 
@@ -277,7 +285,7 @@ _VERIFY_CURVATURE_OPTS = _COMMON + (
     Option("samples", int, 10000, "random (point, plane) samples per chart"),
     Option("r-max", _float, 45.0, "largest sampled radius"),
     Option("grid", int, 1000, "(r, theta) grid size for closed forms"),
-    Option("fd-samples", int, 25, "finite-difference comparison points"),
+    Option("fd-samples", _count, 25, "finite-difference comparison points"),
     Option("scan-tol", _float, 1e-9, "allowed positive curvature in scans"),
     Option("component-tol", _float, 1e-12, "allowed positive closed-form value"),
     Option("fd-tol", _float, 1e-5, "relative finite-difference tolerance"),
@@ -665,9 +673,9 @@ def _run_ff_lemma(cfg: Mapping[str, object]) -> list[CheckResult]:
 _HAUSDORFF_OPTS = _COMMON + (
     Option("first", str, "", "CSV point cloud (with --second: compute mode)"),
     Option("second", str, "", "CSV point cloud"),
-    Option("triples", int, 1000, "random metric-axiom triples"),
+    Option("triples", _count, 1000, "random metric-axiom triples"),
     Option("cloud-size", int, 40, "points per random cloud"),
-    Option("dim", int, 3, "ambient dimension of random clouds"),
+    Option("dim", _count, 3, "ambient dimension of random clouds"),
     Option("triangle-tol", _float, 1e-12,
            "allowed triangle-inequality defect"),
 )
@@ -1007,6 +1015,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         # inputs whose numbers leave the float range, such as huge radii
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # inputs too large to hold, such as a 10^12-period scan; numpy's
+        # subclass of MemoryError has a private name
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - started
 

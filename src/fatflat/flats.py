@@ -39,8 +39,10 @@ DEFAULT_SAMPLES = 10**6
 
 # Fixed Monte-Carlo chunk: sample i always lives in chunk i // _CHUNK and is
 # drawn from the stream keyed by (seed, chunk start), so estimates do not
-# depend on how the samples are grouped.
+# depend on how the samples are grouped.  Membership is tested per
+# _SUB_BLOCK rows of a chunk, whose temporaries then stay in cache.
 _CHUNK = 1 << 16
+_SUB_BLOCK = 1 << 14
 
 _SUPPORTED_DIMS = (1, 2, 3)
 
@@ -319,8 +321,8 @@ class ConvexBody:
         outer = self._outer + self._stretch * (tol * (1.0 + 2.0**-16)
                                                + self._delta)
         inside = dist_sq <= self._inner_sq
-        unsure = ~inside & (dist_sq < outer * outer)
-        if unsure.any():
+        unsure = np.flatnonzero(~inside & (dist_sq < outer * outer))
+        if unsure.size:
             inside[unsure] = self._facet_test(pts[unsure], tol)
         return inside
 
@@ -330,7 +332,8 @@ class ConvexBody:
         if pts.shape[0] == 1:
             return self._facet_test(np.concatenate([pts, pts]), tol)[:1]
         slack = pts @ self._facet_normals.T + self._facet_offsets
-        return np.all(slack <= tol, axis=1)
+        # one facet per contiguous row: np.all along axis 1 is ~15x slower
+        return np.logical_and.reduce(np.ascontiguousarray((slack <= tol).T))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -360,22 +363,17 @@ class UnionVolumeReport:
 
 
 def _count_chunk(
-    gen: np.random.Generator,
-    count: int,
-    lo: np.ndarray,
-    span: np.ndarray,
-    body: ConvexBody,
-    moved: ConvexBody,
+    pts: np.ndarray, body: ConvexBody, moved: ConvexBody
 ) -> tuple[int, int]:
-    pts = lo + gen.random((count, lo.shape[0])) * span
-    in_body = body.contains(pts)
-    in_union = in_body.copy()
+    """(samples in the body, samples in the union) among the rows pts."""
+    outside = np.flatnonzero(~body.contains(pts))
+    body_hits = pts.shape[0] - outside.size
     # the moved body only decides the samples outside the body; a motion
     # that maps the body onto itself can leave none
-    outside = ~in_body
-    if outside.any():
-        in_union[outside] = moved.contains(pts[outside])
-    return int(in_body.sum()), int(in_union.sum())
+    if not outside.size:
+        return body_hits, body_hits
+    return body_hits, body_hits + int(
+        np.count_nonzero(moved.contains(pts[outside])))
 
 
 def union_volume(
@@ -400,13 +398,19 @@ def union_volume(
     box_volume = float(np.prod(span))
 
     at = sample_streams(seed)
-    counts = [
-        _count_chunk(at(start), min(_CHUNK, samples - start), lo, span,
-                     body, moved)
-        for start in range(0, samples, _CHUNK)
-    ]
-    body_hits = sum(c[0] for c in counts)
-    union_hits = sum(c[1] for c in counts)
+    # one buffer for every chunk, scaled and shifted in place: u * span + lo
+    # has the bits of lo + u * span
+    buffer = np.empty((min(_CHUNK, samples), body.dimension))
+    body_hits = union_hits = 0
+    for start in range(0, samples, _CHUNK):
+        pts = buffer[: min(_CHUNK, samples - start)]
+        at(start).random(out=pts)
+        pts *= span
+        pts += lo
+        for row in range(0, pts.shape[0], _SUB_BLOCK):
+            hits = _count_chunk(pts[row : row + _SUB_BLOCK], body, moved)
+            body_hits += hits[0]
+            union_hits += hits[1]
 
     def _estimate(hits: int) -> tuple[float, float]:
         p = hits / samples

@@ -86,13 +86,15 @@ def _bump_jet_many(k: float, xs: np.ndarray):
 # and math.exp, so that no numpy scalar and no cache lookup reaches the
 # radial jet; the array path (_F_fast_many, rho_many) reads the arrays.
 #
-# The array path weights its panels only in _panel_sums, one BLAS product
-# per fixed block of 4096 rows counted from row 0, on the calling thread.
-# One product over a long batch would let BLAS split the rows across worker
-# threads: the split changes the last bit of some sums with the thread
-# count, and a woken worker spins on for tens of milliseconds after it.
-# A lone final row joins the block before it, as a one-row product takes
-# another BLAS routine and rounds differently.
+# The array path evaluates and weights its panels only in _panel_sums, per
+# fixed block of 4096 rows counted from row 0, on the calling thread: the
+# block's (rows x 12) nodes, their bump values and one BLAS product, so
+# that working memory is bounded by the block, not the batch.  One product
+# over a long batch would let BLAS split the rows across worker threads:
+# the split changes the last bit of some sums with the thread count, and a
+# woken worker spins on for tens of milliseconds after it.  A lone final
+# row joins the block before it, as a one-row product takes another BLAS
+# routine and rounds differently.
 
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
 _GL_PAIRS = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
@@ -100,16 +102,28 @@ _N_PANELS = 4096
 _PANEL_BLOCK = 4096
 
 
-def _panel_sums(vals: np.ndarray) -> np.ndarray:
-    """vals @ _GL_WEIGHTS for the (n, 12) node values of n panels, summed
+def _panel_sums(values, mid=None, half=None) -> np.ndarray:
+    """values @ _GL_WEIGHTS for the (n, 12) node values of n panels, summed
     in row blocks [0, 4096), [4096, 8192), ... with a lone last row merged
-    into the block before it, so that the bits depend only on the rows."""
-    n = len(vals)
-    if n <= _PANEL_BLOCK + 1:
-        return vals @ _GL_WEIGHTS
-    bounds = [*range(0, n - 1, _PANEL_BLOCK), n]
-    return np.concatenate([vals[a:b] @ _GL_WEIGHTS
-                           for a, b in zip(bounds, bounds[1:])])
+    into the block before it, so that the bits depend only on the rows.
+
+    Given the panel midpoints mid and half-widths half (one, or one per
+    panel), values is instead the function that gives the node values at
+    given points: the nodes mid + half * _GL_NODES are then built and
+    evaluated one block at a time, and no (n, 12) array exists."""
+    if mid is None:
+        n, block = len(values), values.__getitem__
+    else:
+        n, half = len(mid), np.broadcast_to(half, mid.shape)
+
+        def block(rows):
+            return values(mid[rows, None] + half[rows, None] * _GL_NODES)
+
+    out = np.empty(n)
+    bounds = [0, *range(_PANEL_BLOCK, n - 1, _PANEL_BLOCK), n]
+    for a, b in zip(bounds, bounds[1:]):
+        out[a:b] = block(slice(a, b)) @ _GL_WEIGHTS
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -119,9 +133,7 @@ def _bump_table(k: float):
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     spec = BumpSpec(k)
-    pts = mid[:, None] + half * _GL_NODES[None, :]
-    vals = bump_f_many(spec, pts.ravel()).reshape(pts.shape)
-    panel = _panel_sums(half * vals)
+    panel = _panel_sums(lambda pts: half * bump_f_many(spec, pts), mid, half)
     cum = np.concatenate([[0.0], np.cumsum(panel)])
     return edges, cum, edges.tolist(), cum.tolist()
 
@@ -134,15 +146,16 @@ def _F_fast_many(k: float, xs: np.ndarray) -> np.ndarray:
                   _N_PANELS - 1)
     a = edges[idx]
     halfw = 0.5 * (xc - a)
-    pts = (a + halfw)[:, None] + halfw[:, None] * _GL_NODES[None, :]
-    vals = bump_f_many(BumpSpec(k), pts.ravel()).reshape(pts.shape)
-    return cum[idx] + halfw * _panel_sums(vals)
+    spec = BumpSpec(k)
+    sums = _panel_sums(lambda pts: bump_f_many(spec, pts), a + halfw, halfw)
+    return cum[idx] + halfw * sums
 
 
 def rho_many(spec: BumpSpec, rs: np.ndarray):
-    """(rho, rho', rho'') at the radii rs, an array each.  The panel sums
-    run in fixed 4096-row blocks on the calling thread (_panel_sums), so
-    the bits do not depend on the BLAS thread count."""
+    """(rho, rho', rho'') at the radii rs, an array each.  The panel nodes
+    are evaluated and summed in fixed 4096-row blocks on the calling thread
+    (_panel_sums), so the bits do not depend on the BLAS thread count and
+    the working memory beyond a few arrays of len(rs) is one block."""
     k = spec.k
     y = np.asarray(rs, dtype=float) - (k + 1.0 / k)
     total = _bump_table(k)[1][-1]
@@ -383,8 +396,10 @@ class WarpingProfile:
 
     def sigma_tau_many(self, rs: np.ndarray):
         """sigma_tau at every radius of rs, as six arrays.  The ramp's panel
-        sums run in fixed 4096-row blocks on the calling thread (see
-        _panel_sums): the bits do not depend on the BLAS thread count."""
+        nodes are evaluated and summed in fixed 4096-row blocks on the
+        calling thread (see _panel_sums): the bits do not depend on the BLAS
+        thread count, and the working memory beyond a few arrays of len(rs)
+        is one block."""
         rs = np.asarray(rs, dtype=float)
         if rs.ndim == 0:  # as a batch of one, then 0-d arrays like the input
             return tuple(c.reshape(()) for c in self.sigma_tau_many(rs[None]))

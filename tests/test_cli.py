@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fatflat import cli, flow
+from fatflat import cli, cylinder, flow
 from fatflat.cli import CheckResult, VerificationReport, canonical_json, run
 from fatflat.geometry import MetricChart
 from fatflat.profiles import WarpingProfile
@@ -167,6 +167,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflow at r = " in err
+
+    def test_input_too_large_to_hold_returns_two(self, capsys, monkeypatch):
+        # as numpy fails on --periods 1000000000000 under a memory limit,
+        # with a private subclass of MemoryError; no real allocation here,
+        # since an overcommitting host could grant one
+        class _ArrayMemoryError(MemoryError):
+            pass
+
+        def unable(*args, **kwargs):
+            raise _ArrayMemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cylinder, "eigen_obstruction", unable)
+        assert run(["eigen-obstruction", "--periods", "1000000000000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: MemoryError: Unable to allocate 7.28 TiB\n")
+
+    @pytest.mark.parametrize("command,flag", [
+        ("flats-hausdorff", "triples"), ("flats-hausdorff", "dim"),
+        ("verify-curvature", "fd-samples")])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_returns_two(self, capsys, command, flag, value):
+        # a check over no triples, no coordinates or no finite-difference
+        # points would pass with no evidence
+        assert run([command, f"--{flag}", value]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --{flag}: expected an integer >= 1, got '{value}'\n")
 
 class TestReportSchema:
     def test_verify_profile_report_fields(self, tmp_path, capsys):

@@ -149,10 +149,20 @@ def test_checker_flags_a_weight_product_outside_its_helper():
     assert products_reading(source, "W", "_sums") == [9, 13, 14]
 
 
+def gauss_products_outside_panel_sums(name: str) -> dict[str, list[int]]:
+    found = {path.name: products_reading(path.read_text(encoding="utf-8"),
+                                         name, "_panel_sums")
+             for path in sorted(SRC.glob("*.py"))}
+    return {file: lines for file, lines in found.items() if lines}
+
+
 def test_gauss_weights_are_applied_only_in_panel_sums():
     # one BLAS product over a long batch wakes threaded BLAS, whose row
     # split changes the bits; _panel_sums sums in fixed blocks instead
-    found = {path.name: products_reading(path.read_text(encoding="utf-8"),
-                                         "_GL_WEIGHTS", "_panel_sums")
-             for path in sorted(SRC.glob("*.py"))}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert gauss_products_outside_panel_sums("_GL_WEIGHTS") == {}
+
+
+def test_gauss_nodes_are_built_only_in_panel_sums():
+    # the nodes of a whole batch take an (n, 12) array; _panel_sums builds
+    # them one fixed block at a time
+    assert gauss_products_outside_panel_sums("_GL_NODES") == {}

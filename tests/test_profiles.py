@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from bisect import bisect_right
 from pathlib import Path
 
@@ -419,6 +420,52 @@ class TestPanelSums:
             jet = ramp19.sigma_tau_many(np.array([r]))
             assert all(c.shape == (1,) for c in jet)
             assert tuple(c[0].hex() for c in jet) == values, r
+
+
+# sizes at and around the 4096-row block edges, with a lone last row
+BLOCK_EDGE_SIZES = (0, 1, 2, 4095, 4096, 4097, 4098, 8193, 40374, 60001,
+                    65537, 100001, 300000)
+
+
+def whole_array_F(k, xs):
+    """_F_fast_many from one (n, 12) array of all its node values, summed
+    by _panel_sums: the route that evaluating the nodes per block replaced,
+    kept as its exact reference."""
+    edges, cum = profiles._bump_table(k)[:2]
+    xc = np.clip(xs, -k, k)
+    idx = np.clip(np.searchsorted(edges, xc, side="right") - 1, 0,
+                  profiles._N_PANELS - 1)
+    a = edges[idx]
+    halfw = 0.5 * (xc - a)
+    pts = (a + halfw)[:, None] + halfw[:, None] * profiles._GL_NODES[None, :]
+    vals = profiles.bump_f_many(BumpSpec(k), pts.ravel()).reshape(pts.shape)
+    return cum[idx] + halfw * profiles._panel_sums(vals)
+
+
+class TestBlockedNodes:
+    @pytest.mark.parametrize("k", [1.0, 2.0, 19.0])
+    def test_equals_whole_array_nodes_bit_for_bit(self, k):
+        for n in BLOCK_EDGE_SIZES:
+            xs = np.random.default_rng([n, int(k)]).uniform(-1.1 * k,
+                                                             1.1 * k, n)
+            assert (profiles._F_fast_many(k, xs).tobytes()
+                    == whole_array_F(k, xs).tobytes()), n
+
+    @pytest.mark.parametrize("route", ["rho_many", "sigma_tau_many"])
+    def test_working_memory_is_bounded_by_the_block(self, ramp19, route):
+        # whole (n, 12) node arrays peaked at 628 (rho_many) and 660
+        # (sigma_tau_many) bytes per radius
+        jet = {"rho_many": lambda rs: profiles.rho_many(ramp19.bump, rs),
+               "sigma_tau_many": ramp19.sigma_tau_many}[route]
+        rs = np.linspace(0.0, 45.0, 10 ** 6)
+        jet(rs[:10])  # the panel table is built once per k, not per call
+        tracemalloc.start()
+        try:
+            jet(rs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * len(rs)
 
 
 # ---------------------------------------------------------------------------
