@@ -18,7 +18,8 @@ Gram matrices of the frame's adapted components, grouped as in
 :func:`fatflat.geometry.curvature_numerator`; only U U is a numpy product.
 
 Every metric inner product g(a, b) is the dot product of the adapted parts
-of a and b (see :func:`fatflat.geometry.adapted_components_raw`).
+of a and b (see :func:`fatflat.geometry.adapted_components_raw`), with
+sigma and tau from the scalar radial jet; no metric matrix is formed.
 
 Chart policy: the Cartesian chart is regular across the axis and is the
 right place to integrate whenever an orbit may approach radius zero; the
@@ -49,7 +50,7 @@ from .geometry import (
     R_MIN,
     ChartDomainError,
     MetricChart,
-    adapted_components_raw,
+    _adapted_vectors,
     axis_coefficient_jets,
     axis_jet_ratios,
     cartesian_to_polar,
@@ -190,15 +191,14 @@ class RiccatiResult:
 
 def _gram(chart: MetricChart, positions, vectors) -> np.ndarray:
     """Gram matrices g(v_i, v_j) of the stacks ``vectors`` (N, m, dim) at
-    ``positions`` (N, dim): products of the vectors' adapted parts, each a
-    (warp * rate) product squared only afterwards, so that a large warp
-    factor times a small rate stays an ordinary number.  Raises
-    :class:`ChartDomainError` at the first point whose Gram is not finite."""
-    positions = np.asarray(positions, dtype=float)
-    radii = chart.radius_of(positions)
+    ``positions`` (N, dim): products of the vectors' adapted parts (one
+    scalar radial jet per point), each a (warp * rate) product squared only
+    afterwards, so that a large warp factor times a small rate stays an
+    ordinary number.  Raises :class:`ChartDomainError` at the first point
+    whose Gram is not finite."""
+    a, _, radii, _ = _adapted_vectors(
+        chart, np.asarray(positions, dtype=float), vectors)
     with np.errstate(over="ignore", invalid="ignore"):
-        sg, _, _, tu, _, _ = chart.profile.sigma_tau_many(radii)
-        a = adapted_components_raw(chart, positions, vectors, sg, tu)
         gram = a @ a.mT
     bad = np.flatnonzero(~np.isfinite(gram).all(axis=(-2, -1)))
     if bad.size:
@@ -490,28 +490,39 @@ def parallel_transport(path: GeodesicPath,
 
 def _normal_frame(chart: MetricChart, position: np.ndarray,
                   velocity: np.ndarray) -> np.ndarray:
-    """Metric-orthonormal basis of the normal space of ``velocity``, by
-    Gram-Schmidt in chart coordinates against the metric's matrix."""
+    """Metric-orthonormal basis of the normal space of ``velocity``:
+    Gram-Schmidt of the coordinate basis, each vector beside its adapted
+    parts (g as :func:`_gram` forms it), each candidate scaled by its largest
+    part, so that no squared warp factor is formed."""
     dim = chart.dim
-    g = _gram(chart, [position], [np.eye(dim)])[0]  # raises past r ~ 355
-    # a velocity too fast for g(v, v) is left to the integrators' checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        vnorm = float(velocity @ g @ velocity)
-        if vnorm <= 0.0:
+    vecs = np.vstack([velocity, np.eye(dim)])
+    parts, _, (r,), _ = _adapted_vectors(
+        chart, np.asarray(position, dtype=float)[None], vecs[None])
+    if not np.isfinite(parts).all():
+        raise _overflow_error(r)
+    rows = np.hstack([vecs, parts[0]])
+    # a velocity too fast for g(v, v) is left to the integrators' checks; a
+    # candidate with no parts (sigma = 0) reads NaN and is skipped
+    with np.errstate(all="ignore"):
+        vnorm = float(rows[0, dim:] @ rows[0, dim:])
+        if not vnorm > 0.0:
             raise ValueError("velocity must be nonzero")
-        basis = [velocity / math.sqrt(vnorm)]
-        for i, cand in enumerate(np.eye(dim)):
+        basis = [rows[0] / math.sqrt(vnorm)]
+        for cand in rows[1:]:
+            cand = cand / np.max(np.abs(cand[dim:]))
+            # relative: a candidate in the span leaves about |parts|^2 eps^2
+            floor = 1e-12 * float(cand[dim:] @ cand[dim:])
             for b in basis:
-                cand = cand - float(cand @ g @ b) * b
-            nrm = float(cand @ g @ cand)
-            # relative: a candidate in the span leaves about g(e_i, e_i) eps^2
-            if nrm > 1e-12 * g[i, i]:
+                cand = cand - float(cand[dim:] @ b[dim:]) * b
+            nrm = float(cand[dim:] @ cand[dim:])
+            if nrm > floor:
                 basis.append(cand / math.sqrt(nrm))
             if len(basis) == dim:
                 break
     if len(basis) != dim:
-        raise RuntimeError("failed to complete an orthonormal frame")
-    return np.array(basis[1:])
+        raise ChartDomainError(f"no normal frame at r = {r:.17g}: the "
+                               "coordinate basis does not resolve it there")
+    return np.array(basis[1:])[:, :dim]
 
 
 def _adapted_parts(chart: MetricChart, rows: int) -> Callable:

@@ -394,21 +394,10 @@ class WarpingProfile:
         """(sigma, sigma', sigma'', tau, tau', tau'') at radius r >= 0."""
         return self._radial(float(r))[1][:6]
 
-    def sigma_tau_many(self, rs: np.ndarray):
-        """sigma_tau at every radius of rs, as six arrays.  The ramp's panel
-        nodes are evaluated and summed in fixed 4096-row blocks on the
-        calling thread (see _panel_sums): the bits do not depend on the BLAS
-        thread count, and the working memory beyond a few arrays of len(rs)
-        is one block."""
-        rs = np.asarray(rs, dtype=float)
-        if rs.ndim == 0:  # as a batch of one, then 0-d arrays like the input
-            return tuple(c.reshape(()) for c in self.sigma_tau_many(rs[None]))
-        return self._jet_many(rs)[1]
-
     def _jet_many(self, rs: np.ndarray):
-        """(step jet, sigma_tau_many(rs)) for a 1-d rs, from one step."""
-        if np.any(rs < 0.0):
-            raise ValueError("radii must be nonnegative")
+        """(step jet, sigma_tau jet) as arrays at every radius of a 1-d
+        rs >= 0, from one step; blocked as rho_many is, so the bits do not
+        depend on the BLAS thread count and the working memory is bounded."""
         one, zero = np.ones_like(rs), np.zeros_like(rs)
         if self.variant == "flat":
             return (zero, zero, zero), (rs.copy(), one, zero, one.copy(),

@@ -26,22 +26,22 @@ FROZEN_LOOP_ROTATION = -0.010620102017513707
 FROZEN_CROSSING_TRACE = 2.211653496683519
 
 # U(T) and its recorded traces along a unit-speed ramp orbit (k=19 profile,
-# polar n = 1, start r = 12, T = 0.5, step 1e-3, unit c0), bit for bit as
-# the earlier integrator gave them when it stacked the velocity and frame
-# into arrays at every RK4 stage
-FROZEN_RAMP_U = ["0x1.1d021d8cc7344p+0", "0x1.9d822c99b0c3bp-16",
-                 "0x1.9d822c99b0c3bp-16", "0x1.1e7dcba6c2fabp+0"]
+# polar n = 1, start r = 12, T = 0.5, step 1e-3, unit c0), bit for bit with
+# every sigma and tau read from the scalar radial jet, the start velocity's
+# and the start frame's included
+FROZEN_RAMP_U = ["0x1.1d021d8cc7344p+0", "0x1.9d822c99b0d85p-16",
+                 "0x1.9d822c99b0d85p-16", "0x1.1e7dcba6c2facp+0"]
 FROZEN_RAMP_TRACES = ["0x1.0000000000000p+1", "0x1.08c86647f9dc8p+1",
-                      "0x1.0fe7a1be7bd46p+1", "0x1.159fdaa2211f3p+1",
+                      "0x1.0fe7a1be7bd46p+1", "0x1.159fdaa2211f4p+1",
                       "0x1.1a2c197f2dcd8p+1", "0x1.1dbff499c5178p+1"]
 
 # end state of a unit-speed four_d_model geodesic (k=19 profile, start
 # (12, 1.1, 0.7, 0.3), direction (0.3, -0.2, 0.5, 0.1), T = 0.5, step 1e-3),
-# bit for bit as the chart gave it when it was a chart kind of its own
+# bit for bit with the start speed from the scalar radial jet
 FROZEN_FOUR_D_END_POSITION = ["0x1.8476c037a75b8p+3", "0x1.1998e660a14e0p+0",
                               "0x1.6669e68797bf5p-1", "0x1.333499a1e6ce9p-2"]
-FROZEN_FOUR_D_END_VELOCITY = ["0x1.0ee7b76ff4758p-1", "-0x1.1f48f5b735d22p-16",
-                              "0x1.671eae4c990e1p-15", "0x1.1f3fd00aca0afp-17"]
+FROZEN_FOUR_D_END_VELOCITY = ["0x1.0ee7b76ff4759p-1", "-0x1.1f48f5b735d23p-16",
+                              "0x1.671eae4c990e2p-15", "0x1.1f3fd00aca0afp-17"]
 
 
 def unit_state(chart, position, velocity) -> PhaseState:
@@ -408,6 +408,29 @@ class TestMetricInnerProduct:
             gram = flow._gram(chart, [pos], [np.vstack([vel, frame])])[0]
             assert np.max(np.abs(gram - np.eye(3))) <= 1e-12, direction
 
+    def test_cartesian_normal_frame_far_from_the_axis(self,
+                                                      hyperbolic_profile):
+        # at r = 25, sigma/r ~ 1.4e9: v.G.v of the coordinate metric matrix
+        # cancelled a unit radial velocity to 0.  On adapted parts a radial
+        # velocity gets its frame; an angular one leaves the radial direction
+        # below the coordinate basis's resolution there, a typed error
+        polar = MetricChart.polar(hyperbolic_profile, 1)
+        chart = MetricChart.cartesian(hyperbolic_profile, 1)
+
+        def unit_at_25(direction):
+            there = flow.switch_chart(
+                polar, PhaseState([25.0, 1.0, 0.1], direction), chart)
+            return unit_state(chart, there.position, there.velocity)
+
+        radial = unit_at_25([1.0, 0.0, 0.0])
+        angular = unit_at_25([0.0, 1.0, 0.0])
+        frame = flow._normal_frame(chart, radial.position, radial.velocity)
+        gram = flow._gram(chart, [radial.position],
+                          [np.vstack([radial.velocity, frame])])[0]
+        assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
+        with pytest.raises(geometry.ChartDomainError, match="at r = 25:"):
+            flow._normal_frame(chart, angular.position, angular.velocity)
+
     def test_energy_of_tiny_rates_at_large_radius(self, hyperbolic_profile):
         # sigma ~ 1e173 times rates 1e-160: each (warp * rate) product is
         # ordinary, while a squared rate alone would be subnormal
@@ -731,24 +754,39 @@ class TestComparisonOperator:
     def test_ramp_orbit_bit_for_bit_from_one_jet_per_stage(self, polar_19,
                                                           monkeypatch):
         # on polar n = 1 one jet_ratios call per stage serves the rates and
-        # the curvature term, so the scalar sigma_tau is never called
+        # the curvature term, after one for the start frame; the scalar
+        # sigma_tau is never called
         state = unit_state(polar_19, [12.0, 0.3, 0.0], [0.4, 0.25, 0.55])
         path = flow.integrate_geodesic(polar_19, state, 0.5,
                                        record_every=10 ** 9)
-        sigma_tau = WarpingProfile.sigma_tau
-        radii = []
+        calls = []
+        for name in ("sigma_tau", "jet_ratios"):
+            def counted(profile, r, name=name,
+                        jet=getattr(WarpingProfile, name)):
+                calls.append((name, r))
+                return jet(profile, r)
 
-        def counted(profile, r):
-            radii.append(r)
-            return sigma_tau(profile, r)
-
-        monkeypatch.setattr(WarpingProfile, "sigma_tau", counted)
+            monkeypatch.setattr(WarpingProfile, name, counted)
         result = flow.riccati_expansion(path)
-        assert radii == []
+        assert calls[0] == ("jet_ratios", 12.0)
+        assert {name for name, _ in calls} == {"jet_ratios"}
+        assert len(calls) == 1 + 4 * 500
         assert result.u_final.ravel().tolist() == [
             float.fromhex(x) for x in FROZEN_RAMP_U]
         assert result.traces.tolist() == [
             float.fromhex(x) for x in FROZEN_RAMP_TRACES]
+
+    @pytest.mark.parametrize("r", [400.0, 700.0])
+    def test_starts_wherever_the_radial_jet_is_finite(self,
+                                                      hyperbolic_profile, r):
+        # the start frame once read sigma^2 off the coordinate metric, which
+        # overflows past r ~ 355; on curvature -1 U = I solves the equation
+        chart = MetricChart.polar(hyperbolic_profile, 1)
+        state = PhaseState(np.array([r, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        path = flow.integrate_geodesic(chart, state, 0.1,
+                                       record_every=10 ** 9)
+        result = flow.riccati_expansion(path, c0=1.0)
+        assert_close(result.u_final, np.eye(2), abs_tol=1e-12)
 
     def test_cartesian_stage_evaluates_the_profile_once(self, polar_19,
                                                         cartesian_19,

@@ -166,3 +166,39 @@ def test_gauss_nodes_are_built_only_in_panel_sums():
     # the nodes of a whole batch take an (n, 12) array; _panel_sums builds
     # them one fixed block at a time
     assert gauss_products_outside_panel_sums("_GL_NODES") == {}
+
+
+def array_jets() -> set[str]:
+    """Functions and methods of profiles.py that evaluate arrays of radii or
+    abscissae: the ones whose names end in ``_many``."""
+    tree = ast.parse((SRC / "profiles.py").read_text(encoding="utf-8"))
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name.endswith("_many")}
+
+
+def reads_of(source: str, names: set[str]) -> list[str]:
+    """'name (line n)' for each read of one of ``names``, by name or as an
+    attribute, called or not."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in names:
+            found.add(f"{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_checker_flags_a_read_of_a_named_function():
+    source = ("def f(p, rs):\n    jet = p.sigma_tau_many\n"
+              "    return rho_many(rs), p._jet_many(rs), p.sigma_tau(1.0)\n")
+    assert reads_of(source, {"rho_many", "_jet_many", "sigma_tau_many"}) == [
+        "_jet_many (line 3)", "rho_many (line 3)", "sigma_tau_many (line 2)"]
+
+
+def test_flow_reads_no_array_profile_jet():
+    # flow takes sigma and tau from the scalar radial jet alone; numpy's
+    # exp, sinh and cosh round differently from math's
+    jets = array_jets()
+    assert {"_jet_many", "rho_many"} <= jets
+    assert reads_of((SRC / "flow.py").read_text(encoding="utf-8"), jets) == []

@@ -404,7 +404,7 @@ class TestPanelSums:
 
     def test_empty_and_single_radius_batches(self, ramp19):
         assert profiles._F_fast_many(19.0, np.empty(0)).shape == (0,)
-        assert all(c.shape == (0,) for c in ramp19.sigma_tau_many(np.empty(0)))
+        assert all(c.shape == (0,) for c in ramp19._jet_many(np.empty(0))[1])
         one = profiles._F_fast_many(19.0, np.array([-7.3]))
         assert one.shape == (1,)
         assert one[0].hex() == "0x1.abad510984667p+0"
@@ -417,7 +417,7 @@ class TestPanelSums:
                   "0x1.0b3d0e8010a1ap-37", "0x1.afe6093e3c84fp-32"),
         }
         for r, values in frozen.items():
-            jet = ramp19.sigma_tau_many(np.array([r]))
+            jet = ramp19._jet_many(np.array([r]))[1]
             assert all(c.shape == (1,) for c in jet)
             assert tuple(c[0].hex() for c in jet) == values, r
 
@@ -451,12 +451,12 @@ class TestBlockedNodes:
             assert (profiles._F_fast_many(k, xs).tobytes()
                     == whole_array_F(k, xs).tobytes()), n
 
-    @pytest.mark.parametrize("route", ["rho_many", "sigma_tau_many"])
+    @pytest.mark.parametrize("route", ["rho_many", "_jet_many"])
     def test_working_memory_is_bounded_by_the_block(self, ramp19, route):
         # whole (n, 12) node arrays peaked at 628 (rho_many) and 660
-        # (sigma_tau_many) bytes per radius
+        # (_jet_many) bytes per radius
         jet = {"rho_many": lambda rs: profiles.rho_many(ramp19.bump, rs),
-               "sigma_tau_many": ramp19.sigma_tau_many}[route]
+               "_jet_many": ramp19._jet_many}[route]
         rs = np.linspace(0.0, 45.0, 10 ** 6)
         jet(rs[:10])  # the panel table is built once per k, not per call
         tracemalloc.start()
@@ -565,7 +565,7 @@ class TestWarpingFunctions:
 
     def test_boundary_matching_on_grid(self, ramp19):
         rs = np.arange(0.0, 60.0, 1e-3)
-        sig, _, _, tau, _, _ = ramp19.sigma_tau_many(rs)
+        sig, _, _, tau, _, _ = ramp19._jet_many(rs)[1]
         inner = rs <= 1.0 / 39.0
         outer = rs >= 39.0
         assert_close(sig[inner], rs[inner], abs_tol=1e-12)
@@ -592,18 +592,9 @@ class TestWarpingFunctions:
         # agree to rounding rather than bit for bit
         rs = np.concatenate([np.linspace(0.0, 0.8, 401),
                              np.linspace(0.8, 60.0, 2001)])
-        many = np.array(ramp19.sigma_tau_many(rs))
+        many = np.array(ramp19._jet_many(rs)[1])
         one = np.array([ramp19.sigma_tau(float(r)) for r in rs]).T
         assert np.all(np.abs(many - one) <= 4e-15 * np.abs(one))
-
-    @pytest.mark.parametrize("variant", ["flat_profile", "hyperbolic_profile",
-                                         "ramp19"])
-    def test_array_jet_of_a_scalar_radius_is_0d(self, request, variant):
-        profile = request.getfixturevalue(variant)
-        many = profile.sigma_tau_many(20.0)
-        assert all(isinstance(c, np.ndarray) and c.shape == () for c in many)
-        one = np.array(profile.sigma_tau(20.0))
-        assert np.all(np.abs(np.array(many) - one) <= 4e-15 * np.abs(one))
 
     def test_jet_views_agree(self, ramp19):
         for r in (0.0, 0.03, 0.5, 2.0, 19.0, 45.0):
