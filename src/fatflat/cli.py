@@ -498,7 +498,8 @@ def _deck_power_distances(rho: cylinder.RotationBlock, r0: float, n: int,
     x = x0.copy()
     for s in range(1, s_max + 1):
         x = rot @ x
-        out[s - 1] = float(np.linalg.norm(x - x0))
+        d = x - x0
+        out[s - 1] = math.sqrt(d.dot(d))  # np.linalg.norm's 1-D formula
     return out
 
 

@@ -16,7 +16,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .rng import sample_streams
 
@@ -223,6 +222,10 @@ class ConvexBody:
             self._facet_offsets = np.array([-hi, lo])
             self._volume = hi - lo
         else:
+            # scipy.spatial is imported here, not at start-up: a CLI run
+            # that builds no body does not pay for it
+            from scipy.spatial import ConvexHull, QhullError
+
             try:
                 hull = ConvexHull(self.vertices)
             except QhullError as exc:

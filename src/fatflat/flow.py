@@ -11,7 +11,9 @@ RK4 driver over one flat state of Python floats (position, velocity, frame
 rows, then the m x m entries of the comparison operator U).  Each stage
 evaluates the chart's connection jet once; one bilinear form per chart
 kind, called on one vector at a time, gives the acceleration -Gamma(v, v)
-and every frame vector's transport rate -Gamma(v, w).  The comparison
+and every frame vector's transport rate -Gamma(v, w).  On the profile's
+flat piece the Cartesian chart is Euclidean, its connection vanishes, and
+a stage there returns zero rates without calling the form.  The comparison
 operator's curvature term M is built in closed form and in plain floats
 from one radial jet per stage: the profile's four principal ratios times
 Gram matrices of the frame's adapted components, grouped as in
@@ -50,8 +52,9 @@ from .geometry import (
     R_MIN,
     ChartDomainError,
     MetricChart,
+    _FLAT_CONNECTION,
     _adapted_vectors,
-    axis_coefficient_jets,
+    axis_connection,
     axis_jet_ratios,
     cartesian_to_polar,
     christoffel,
@@ -249,7 +252,7 @@ def _connection(chart: MetricChart) -> Tuple[Callable, Callable]:
 
         def jet(pos, v):
             x = pos[:d]
-            return axis_coefficient_jets(profile, math.sqrt(_dot(x, x)))[:6]
+            return axis_connection(profile, math.sqrt(_dot(x, x)))
 
         def rates(coeffs, pos, v, w):
             a, b, apr, bpr, tau2, tpr = coeffs
@@ -305,15 +308,24 @@ def _overflow_error(r: float) -> ChartDomainError:
 
 def _flat_rates(chart: MetricChart, rows: int = 0) -> Callable:
     """rhs(y, jet=None): rates of the flat state y = (position, velocity,
-    ``rows`` frame rows, ...) from one connection jet, ``jet`` if given."""
+    ``rows`` frame rows, ...) from one connection jet, ``jet`` if given.
+
+    A Cartesian stage on the flat piece (jet ``_FLAT_CONNECTION``), where
+    the connection vanishes, calls no form and returns -0.0 rates: the
+    form's own zeros there but on the axis, where it gives +0.0 when both
+    its terms are -0.0.  A zero rate leaves a nonzero or +0.0 coordinate
+    as it is, so only an axis coordinate that is already -0.0 can differ."""
     connection_jet, rates = _connection(chart)
     dim = chart.dim
     starts = range(2 * dim, (2 + rows) * dim, dim)
+    zeros = [-0.0] * ((1 + rows) * dim)
 
     def rhs(y, jet=None):
         vel = y[dim:2 * dim]  # the forms read the position from y[:dim]
         if jet is None:
             jet = connection_jet(y, vel)
+        if jet is _FLAT_CONNECTION:
+            return vel + zeros
         out = [*vel, *rates(jet, y, vel, vel)]
         for k in starts:
             out += rates(jet, y, vel, y[k:k + dim])
@@ -324,20 +336,23 @@ def _flat_rates(chart: MetricChart, rows: int = 0) -> Callable:
 
 def _exit_guard(chart: MetricChart, h: float,
                 partial: Optional[Callable] = None) -> Callable:
-    """guard(i, pos, vel) raises :class:`ChartExitError` at node ``i`` when
-    the orbit must leave ``chart`` or its state is no longer finite;
-    ``partial()`` builds the path so far."""
+    """guard(i, pos, vel, finite=False) raises :class:`ChartExitError` at
+    node ``i`` when the orbit must leave ``chart`` or its state is no longer
+    finite, which ``finite=True`` says is already known; ``partial()``
+    builds the path so far."""
+    diagonal = chart.kind != CARTESIAN
     # diagonal charts also carry polar angles with poles at 0, pi
-    n_angles = 0 if chart.kind == CARTESIAN else chart.block_dim - 2
+    n_angles = chart.block_dim - 2 if diagonal else 0
 
-    def guard(i, pos, vel):
+    def guard(i, pos, vel, finite=False):
         # "not inside" tests, so that NaN coordinates fail them too
-        if not _finite(pos, vel):
+        if not (finite or _finite(pos, vel)):
             why = "non-finite state"
-        elif chart.kind != CARTESIAN and not pos[0] >= POLAR_EXIT_RADIUS:
+        elif diagonal and not pos[0] >= POLAR_EXIT_RADIUS:
             why = "radius below the diagonal-chart floor"
-        elif not all(ANGLE_EXIT_MARGIN <= th <= math.pi - ANGLE_EXIT_MARGIN
-                     for th in pos[1:1 + n_angles]):
+        elif n_angles and not all(
+                ANGLE_EXIT_MARGIN <= th <= math.pi - ANGLE_EXIT_MARGIN
+                for th in pos[1:1 + n_angles]):
             why = "polar angle reached a coordinate pole"
         else:
             return
@@ -410,7 +425,8 @@ def integrate_geodesic(chart: MetricChart, state: PhaseState, duration: float,
     guard = _exit_guard(chart, h, path)
 
     def before(i, y):
-        guard(i, y[:dim], y[dim:])
+        # after(i - 1) has checked that node i is finite
+        guard(i, y[:dim], y[dim:], i > 0)
 
     def after(i, y):
         pos, vel = y[:dim], y[dim:]
@@ -460,7 +476,8 @@ def parallel_transport(path: GeodesicPath,
     The state is one flat list of floats (position, velocity, frame rows);
     each stage evaluates the chart's connection jet once and calls its
     bilinear rates form -Gamma(v, .) on the velocity, for the geodesic
-    acceleration, and on each frame vector.
+    acceleration, and on each frame vector, except on the flat piece of the
+    Cartesian chart, where every rate is zero.
     """
     chart = path.chart
     state = path.state(0)

@@ -192,6 +192,9 @@ def _axis_coeffs_hyperbolic(r: float):
 
 
 _FLAT_COEFFS = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+# the Cartesian connection's six coefficients on the flat piece, where the
+# connection vanishes: one object, so that a stage can tell it is there
+_FLAT_CONNECTION = _FLAT_COEFFS[:6]
 
 
 def axis_coefficient_jets(profile: WarpingProfile, r: float):
@@ -207,14 +210,25 @@ def axis_coefficient_jets(profile: WarpingProfile, r: float):
     return _checked_axis_jets(r, profile.rho_jet(r))
 
 
+def axis_connection(profile: WarpingProfile, r: float):
+    """axis_coefficient_jets(profile, r)[:6], which the Cartesian connection
+    reads; on the profile's flat piece, the object ``_FLAT_CONNECTION``."""
+    return _axis_connection(r, profile.rho_jet(r))
+
+
 def axis_jet_ratios(profile: WarpingProfile, r: float):
-    """(axis_coefficient_jets(profile, r)[:6], *profile.jet_ratios(r)) from
-    one rho evaluation, as a Riccati stage on the Cartesian chart needs them;
-    the radial jet raises OverflowError past r ~ 710 as jet_ratios does."""
+    """(axis_connection(profile, r), *profile.jet_ratios(r)) from one rho
+    evaluation, as a Riccati stage on the Cartesian chart needs them; the
+    radial jet raises OverflowError past r ~ 710 as jet_ratios does."""
     step = profile.rho_jet(r)
     jet = _step_jet(r, *step)
-    return (_checked_axis_jets(r, step)[:6], jet,
+    return (_axis_connection(r, step), jet,
             _piece_ratios(*step) or _ramp_ratios(jet))
+
+
+def _axis_connection(r: float, step):
+    jets = _checked_axis_jets(r, step)
+    return _FLAT_CONNECTION if jets is _FLAT_COEFFS else jets[:6]
 
 
 def _checked_axis_jets(r: float, step):

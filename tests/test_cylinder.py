@@ -18,6 +18,7 @@ from fatflat.cylinder import (
     translation_length_root,
 )
 from fatflat.flow import PhaseState
+from fatflat.profiles import WarpingProfile
 
 from conftest import assert_close
 
@@ -225,6 +226,17 @@ class TestCoreHolonomy:
         unrolled = make_cylinder(ramp19, angles=(3 * 0.7,), length=3.0)
         cubed = np.linalg.matrix_power(core_holonomy(base), 3)
         assert np.linalg.norm(cubed - core_holonomy(unrolled)) <= 1e-7
+
+    @pytest.mark.parametrize("angles", [(1.0,), (0.0,), (0.5, 2.0)])
+    @pytest.mark.parametrize("k", [19.0, 40.0, None], ids=["k19", "k40",
+                                                         "flat"])
+    def test_flat_core_gives_the_twist_exactly(self, angles, k):
+        # the core runs in the flat tube (or the flat profile), where the
+        # transported frame comes back unchanged
+        profile = (WarpingProfile.interpolated(k) if k
+                   else WarpingProfile.flat())
+        cyl = make_cylinder(profile, angles)
+        assert np.array_equal(core_holonomy(cyl), cyl.rho.matrix())
 
     @pytest.mark.parametrize("angles, length, step", [
         ((1.0,), 1.0, flow.DEFAULT_STEP),

@@ -9,6 +9,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatflat import flow, geometry
 from fatflat.flow import ChartExitError, PhaseState
@@ -42,6 +44,29 @@ FROZEN_FOUR_D_END_POSITION = ["0x1.8476c037a75b8p+3", "0x1.1998e660a14e0p+0",
                               "0x1.6669e68797bf5p-1", "0x1.333499a1e6ce9p-2"]
 FROZEN_FOUR_D_END_VELOCITY = ["0x1.0ee7b76ff4759p-1", "-0x1.1f48f5b735d23p-16",
                               "0x1.671eae4c990e2p-15", "0x1.1f3fd00aca0afp-17"]
+
+# a frame carried inside the flat tube of the k=19 profile (r <= 0.017 <
+# 1/39) on the Cartesian chart with n = 2: start (0.012, -0.007, 0.004,
+# 0.002, 0.3), velocity (0.004, 0.003, -0.002, 0.001, 1), T = 1, step
+# 1e-3; the frame comes back unchanged, its -0.0 entry included
+FLAT_TUBE_FRAME = [[0.6, -0.0, 0.8, 0.0, 0.1],
+                   [-0.3, 0.7, 0.2, -0.5, 0.25],
+                   [0.1, 0.2, -0.4, 0.9, -0.6]]
+FROZEN_FLAT_TUBE_END_POSITION = [
+    "0x1.0624dd2f1aa95p-6", "-0x1.0624dd2f1a831p-8", "0x1.0624dd2f1ab52p-9",
+    "0x1.89374bc6a802cp-9", "0x1.4cccccccccc3ap+0"]
+FROZEN_FLAT_TUBE_END_VELOCITY = [
+    "0x1.0624dd2f1a9fcp-8", "0x1.89374bc6a7efap-9", "-0x1.0624dd2f1a9fcp-9",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0000000000000p+0"]
+FROZEN_FLAT_TUBE_DEFECT = "0x1.1000000000000p-53"
+
+# U(T) and its traces along the axis of the k=19 Cartesian chart (n = 1,
+# unit speed, T = 0.25, step 1e-3, unit c0)
+FROZEN_AXIS_U = ["0x1.99999999999c4p-1", "0x0.0p+0", "0x0.0p+0",
+                 "0x1.99999999999c4p-1"]
+FROZEN_AXIS_TRACES = ["0x1.0000000000000p+1", "0x1.d1745d1745d30p+0",
+                      "0x1.aaaaaaaaaaacep+0", "0x1.99999999999c4p+0"]
+FROZEN_AXIS_END_HEIGHT = "0x1.0000000000003p-2"
 
 
 def unit_state(chart, position, velocity) -> PhaseState:
@@ -479,6 +504,117 @@ class TestConnection:
                 assert all(type(c) is float for row in got for c in row)
                 assert_close(got, want,
                              abs_tol=1e-13 * scale + np.finfo(float).tiny)
+
+
+def hexes(values):
+    return [float(c).hex() for c in np.ravel(values)]
+
+
+def counting_rates(monkeypatch):
+    """Count the calls of every chart's general rates form from now on."""
+    calls = []
+    connection = flow._connection
+
+    def counted(chart):
+        jet, rates = connection(chart)
+
+        def rates_counted(*args):
+            calls.append(chart.kind)
+            return rates(*args)
+
+        return jet, rates_counted
+
+    monkeypatch.setattr(flow, "_connection", counted)
+    return calls
+
+
+# coordinates of a point of the k=19 flat tube, |x| < 0.024 < 1/39 in a
+# block of dimension 4, and of the vectors there, zeros of both signs
+# included
+TUBE_COORD = st.floats(-0.012, 0.012)
+VECTOR_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]),
+                         st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+def flat_tube_start(profile):
+    """The Cartesian chart with n = 2 and FLAT_TUBE_FRAME's start state."""
+    return (MetricChart.cartesian(profile, 2),
+            PhaseState(np.array([0.012, -0.007, 0.004, 0.002, 0.3]),
+                       np.array([0.004, 0.003, -0.002, 0.001, 1.0])))
+
+
+class TestFlatPiece:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.sampled_from([1, 2]), rows=st.integers(0, 4),
+           data=st.data())
+    def test_stage_equals_the_rates_form_at_the_flat_coefficients(
+            self, ramp19, n, rows, data):
+        # the whole stage at a flat-tube point, jet decided from the radial
+        # jet there, against the general form at a copy of the flat
+        # coefficients: equal value for value, and sign for sign on the
+        # block, where the form's zeros are -0.0
+        chart = MetricChart.cartesian(ramp19, n)
+        d, dim = chart.block_dim, chart.dim
+        x = data.draw(st.lists(TUBE_COORD, min_size=d, max_size=d))
+        y = x + data.draw(st.lists(VECTOR_ENTRY, min_size=(1 + rows) * dim + 1,
+                                   max_size=(1 + rows) * dim + 1))
+        _, rates = flow._connection(chart)
+        coeffs = geometry._FLAT_COEFFS[:6]
+        assert coeffs is not geometry._FLAT_CONNECTION
+        vel = y[dim:2 * dim]
+        want = [*vel, *(c for k in range(dim, (2 + rows) * dim, dim)
+                        for c in rates(coeffs, y, vel, y[k:k + dim]))]
+        got = flow._flat_rates(chart, rows)(y)
+        assert got == want
+        block = [i for i in range(dim, len(got)) if i % dim != d]
+        assert [math.copysign(1.0, got[i]) for i in block] == [
+            math.copysign(1.0, want[i]) for i in block]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stage_calls_no_rates_form(self, ramp19, n, monkeypatch):
+        chart = MetricChart.cartesian(ramp19, n)
+        dim = chart.dim
+        calls = counting_rates(monkeypatch)
+        inside = [0.01] + [0.0] * (dim - 1)
+        rhs = flow._flat_rates(chart, 2)
+        rhs(inside + [0.3] * (3 * dim))
+        assert calls == []
+        # past the tube (r = 0.1, on the ramp) every row takes the form
+        rhs([0.1] + inside[1:] + [0.3] * (3 * dim))
+        assert calls == [geometry.CARTESIAN] * 3
+
+    def test_tube_runs_call_no_rates_form(self, ramp19, cartesian_19,
+                                          monkeypatch):
+        calls = counting_rates(monkeypatch)
+        path = flow.integrate_geodesic(*flat_tube_start(ramp19), 0.1,
+                                       record_every=10 ** 9)
+        flow.parallel_transport(path, FLAT_TUBE_FRAME)
+        axis = PhaseState(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+        flow.riccati_expansion(flow.integrate_geodesic(
+            cartesian_19, axis, 0.1, record_every=10 ** 9))
+        assert calls == []
+
+    def test_tube_transport_bit_for_bit(self, ramp19):
+        path = flow.integrate_geodesic(*flat_tube_start(ramp19), 1.0,
+                                       record_every=10 ** 9)
+        result = flow.parallel_transport(path, FLAT_TUBE_FRAME)
+        assert hexes(result.vectors) == hexes(FLAT_TUBE_FRAME)
+        assert hexes(result.end_state.position) == \
+            FROZEN_FLAT_TUBE_END_POSITION
+        assert hexes(result.end_state.velocity) == \
+            FROZEN_FLAT_TUBE_END_VELOCITY
+        assert result.orthogonality_defect.hex() == FROZEN_FLAT_TUBE_DEFECT
+
+    def test_axis_riccati_bit_for_bit(self, cartesian_19):
+        axis = PhaseState(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+        result = flow.riccati_expansion(flow.integrate_geodesic(
+            cartesian_19, axis, 0.25, record_every=10 ** 9))
+        assert hexes(result.u_final) == FROZEN_AXIS_U
+        assert hexes(result.traces) == FROZEN_AXIS_TRACES
+        assert hexes(result.end_state.position) == [
+            "0x0.0p+0", "0x0.0p+0", FROZEN_AXIS_END_HEIGHT]
+        assert hexes(result.end_state.velocity) == [
+            "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"]
 
 
 class TestCurvatureTerm:

@@ -3,6 +3,9 @@ library; the export check imports each module of the package."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -202,3 +205,15 @@ def test_flow_reads_no_array_profile_jet():
     jets = array_jets()
     assert {"_jet_many", "rho_many"} <= jets
     assert reads_of((SRC / "flow.py").read_text(encoding="utf-8"), jets) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.spatial is most of the CLI's import time; only building a
+    # convex body (flats.ConvexBody) imports it
+    child = ("import sys\nimport fatflat.cli\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", child], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
