@@ -29,6 +29,7 @@ __all__ = [
     "DegenerateBodyError",
     "ParallelStripsError",
     "hausdorff_distance",
+    "hausdorff_distances",
     "union_volume",
     "thicken_strips",
     "DEFAULT_SAMPLES",
@@ -48,8 +49,8 @@ _SUPPORTED_DIMS = (1, 2, 3)
 _ORTHOGONALITY_TOL = 1e-10
 _FIXED_SPACE_TOL = 1e-9
 _MEMBERSHIP_TOL = 1e-12
-_ROW_CHUNK = 512
-_COL_CHUNK = 2048
+# most point pairs in one block of the Hausdorff kernel
+_PAIR_BLOCK = 1 << 16
 
 
 class DegenerateBodyError(ValueError):
@@ -99,37 +100,51 @@ class PointCloud:
 
 
 def hausdorff_distance(first: PointCloud, second: PointCloud) -> float:
-    """Hausdorff distance between two finite point clouds.
-
-    The larger of the two directed distances, where the directed distance
-    from X to Y is the maximum over X of the distance to the nearest point
-    of Y.  Raises ``ValueError`` when the ambient dimensions differ.
-
-    Both directions come from one pass over the squared distances, in
-    blocks of rows of ``first`` and columns of ``second``, so memory stays
-    bounded whatever the cloud sizes: running row minima give the forward
-    direction and running column minima the backward one.  Every min and
-    max is exact and the squares of x - y and y - x are equal bit for bit,
-    so this is the same number two directed passes would give.
-    """
+    """Hausdorff distance of two point clouds: :func:`hausdorff_distances`
+    on stacks of one.  Raises ``ValueError`` when the dimensions differ."""
     if first.dimension != second.dimension:
-        raise ValueError(
-            f"dimension mismatch: {first.dimension} versus {second.dimension}"
-        )
-    source, target = first.points, second.points
-    forward = 0.0
-    nearest_source = np.full(target.shape[0], np.inf)
-    for start in range(0, source.shape[0], _ROW_CHUNK):
-        block = source[start : start + _ROW_CHUNK]
-        nearest_target = np.full(block.shape[0], np.inf)
-        for col in range(0, target.shape[0], _COL_CHUNK):
-            diff = block[:, None, :] - target[None, col : col + _COL_CHUNK, :]
-            sq = np.einsum("ijk,ijk->ij", diff, diff)
-            np.minimum(nearest_target, sq.min(axis=1), out=nearest_target)
-            columns = nearest_source[col : col + _COL_CHUNK]
-            np.minimum(columns, sq.min(axis=0), out=columns)
-        forward = max(forward, float(nearest_target.max()))
-    return math.sqrt(max(forward, float(nearest_source.max())))
+        raise ValueError(f"dimension mismatch: {first.dimension} versus "
+                         f"{second.dimension}")
+    return float(hausdorff_distances([first.points], [second.points])[0])
+
+
+def hausdorff_distances(firsts, seconds) -> np.ndarray:
+    """Hausdorff distance, the larger directed distance, of each pair in two
+    stacks of point clouds shaped (B, n, l) and (B, m, l).  Raises
+    ``ValueError`` when the batch sizes or dimensions differ, or a stack or
+    cloud is empty or holds a point that is not finite.
+
+    One pass, in blocks of at most 2^16 point pairs across pairs, rows and
+    columns, so memory stays bounded: running minima of the squared
+    distances over the rows give one direction and over the columns the
+    other.  Every min and max is exact and the squares of x - y and y - x
+    are equal bit for bit, so this is what two directed passes would give.
+    """
+    firsts, seconds = np.asarray(firsts, float), np.asarray(seconds, float)
+    if not firsts.ndim == seconds.ndim == 3 or len(firsts) != len(seconds):
+        raise ValueError(f"mismatched stacks {firsts.shape}, {seconds.shape}")
+    (batch, n, dim), m = firsts.shape, seconds.shape[1]
+    for stack in (firsts, seconds):  # nonempty, finite, of one dimension
+        _as_points(stack.reshape(-1, stack.shape[2]), dim)
+    near_first, near_second = (np.full((batch, k), np.inf) for k in (n, m))
+    cols = min(m, _PAIR_BLOCK)
+    rows = min(n, _PAIR_BLOCK // cols)
+    pairs = _PAIR_BLOCK // (rows * cols)
+    for b in range(0, batch, pairs):
+        for i in range(0, n, rows):
+            for j in range(0, m, cols):
+                first = firsts[b:b + pairs, i:i + rows, None]
+                second = seconds[b:b + pairs, None, j:j + cols]
+                # a row of one coordinate broadcasts faster than l of them
+                diff = np.empty((*first.shape[:2], second.shape[2], dim))
+                for k in range(dim):
+                    np.subtract(first[..., k], second[..., k], out=diff[..., k])
+                sq = np.einsum("bijk,bijk->bij", diff, diff)
+                block = near_first[b:b + pairs, i:i + rows]
+                np.minimum(block, sq.min(axis=2), out=block)
+                block = near_second[b:b + pairs, j:j + cols]
+                np.minimum(block, sq.min(axis=1), out=block)
+    return np.sqrt(np.maximum(near_first.max(axis=1), near_second.max(axis=1)))
 
 
 @dataclass(eq=False)

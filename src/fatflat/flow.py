@@ -52,6 +52,7 @@ from .geometry import (
     R_MIN,
     ChartDomainError,
     MetricChart,
+    NonFiniteRadiusError,
     _FLAT_CONNECTION,
     _adapted_vectors,
     axis_connection,
@@ -336,17 +337,17 @@ def _flat_rates(chart: MetricChart, rows: int = 0) -> Callable:
 
 def _exit_guard(chart: MetricChart, h: float,
                 partial: Optional[Callable] = None) -> Callable:
-    """guard(i, pos, vel, finite=False) raises :class:`ChartExitError` at
-    node ``i`` when the orbit must leave ``chart`` or its state is no longer
-    finite, which ``finite=True`` says is already known; ``partial()``
-    builds the path so far."""
+    """guard(i, pos, vel, finite=False, stage=True) raises
+    :class:`ChartExitError` at node ``i`` when the orbit must leave ``chart``
+    or its state (known finite if ``finite``) or, if not ``stage``, a stage
+    of the step from it is not finite; ``partial()`` builds the path so far."""
     diagonal = chart.kind != CARTESIAN
     # diagonal charts also carry polar angles with poles at 0, pi
     n_angles = chart.block_dim - 2 if diagonal else 0
 
-    def guard(i, pos, vel, finite=False):
+    def guard(i, pos, vel, finite=False, stage=True):
         # "not inside" tests, so that NaN coordinates fail them too
-        if not (finite or _finite(pos, vel)):
+        if not (stage and (finite or _finite(pos, vel))):
             why = "non-finite state"
         elif diagonal and not pos[0] >= POLAR_EXIT_RADIUS:
             why = "radius below the diagonal-chart floor"
@@ -380,17 +381,22 @@ def _rk4(rhs: Callable, y: list, n_steps: int, h: float, before: Callable,
     """Classical RK4 over a state held as a list of Python floats;
     ``rhs(y)`` returns the list of their rates.
 
-    ``before(i, y)`` sees node i ahead of step i and may raise;
+    ``before(i, y)`` sees node i ahead of step i and may raise; ``before(i,
+    y, False)`` must raise: a stage of step i reached a non-finite radius.
     ``after(i, y)`` sees node i + 1 and may raise or replace components.
     """
     half = 0.5 * h
     sixth = h / 6.0
     for i in range(n_steps):
         before(i, y)
-        k1 = rhs(y)
-        k2 = rhs([c + half * k for c, k in zip(y, k1)])
-        k3 = rhs([c + half * k for c, k in zip(y, k2)])
-        k4 = rhs([c + h * k for c, k in zip(y, k3)])
+        try:
+            k1 = rhs(y)
+            k2 = rhs([c + half * k for c, k in zip(y, k1)])
+            k3 = rhs([c + half * k for c, k in zip(y, k2)])
+            k4 = rhs([c + h * k for c, k in zip(y, k3)])
+        except NonFiniteRadiusError:
+            before(i, y, False)
+            raise
         y = [c + sixth * (a + 2.0 * (b + e) + d)
              for c, a, b, e, d in zip(y, k1, k2, k3, k4)]
         after(i, y)
@@ -424,9 +430,9 @@ def integrate_geodesic(chart: MetricChart, state: PhaseState, duration: float,
 
     guard = _exit_guard(chart, h, path)
 
-    def before(i, y):
+    def before(i, y, stage=True):
         # after(i - 1) has checked that node i is finite
-        guard(i, y[:dim], y[dim:], i > 0)
+        guard(i, y[:dim], y[dim:], i > 0, stage)
 
     def after(i, y):
         pos, vel = y[:dim], y[dim:]
@@ -493,7 +499,7 @@ def parallel_transport(path: GeodesicPath,
 
     y = _rk4(_flat_rates(chart, len(w0)), state.position.tolist()
              + state.velocity.tolist() + w0.ravel().tolist(), n_steps, h,
-             lambda i, y: guard(i, y[:dim], y[dim:2 * dim]),
+             lambda i, y, s=True: guard(i, y[:dim], y[dim:2 * dim], False, s),
              lambda i, y: None)
     pos, vel, *w = np.array(y).reshape(-1, dim)
     guard(n_steps, pos, vel)
@@ -672,8 +678,8 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0) -> RiccatiResult:
     rec_times = [0.0]
     rec_traces = [reduce(add, (u[k] for k in diag), 0.0)]
 
-    def before(i, y):
-        guard(i, y[:dim], y[dim:2 * dim])
+    def before(i, y, stage=True):
+        guard(i, y[:dim], y[dim:2 * dim], stage=stage)
         u = y[-mm:]
         # Gershgorin's bound diag + sum|row| - |diag| on the largest
         # eigenvalue, each sum from 0.0 left to right as numpy sums a few

@@ -41,6 +41,10 @@ class ChartDomainError(ValueError):
     """Raised for coordinates outside a chart's valid region."""
 
 
+class NonFiniteRadiusError(ChartDomainError):
+    """Raised where a radius that is not finite reaches a chart's terms."""
+
+
 class DegeneratePlaneError(ValueError):
     """Raised when two vectors do not span a 2-plane."""
 
@@ -238,6 +242,8 @@ def _checked_axis_jets(r: float, step):
             return jets
     except OverflowError:
         pass
+    if not math.isfinite(r):
+        raise NonFiniteRadiusError(f"radius {r} is not finite")
     raise ChartDomainError(
         f"Cartesian metric coefficients overflow at r = {r:.17g}: the chart "
         "is exact only where all of them are finite")

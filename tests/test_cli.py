@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fatflat import cli, cylinder, flow
+from fatflat import cli, cylinder, flats, flow
 from fatflat.cli import CheckResult, VerificationReport, canonical_json, run
 from fatflat.geometry import MetricChart
 from fatflat.profiles import WarpingProfile
@@ -20,6 +20,13 @@ def run_to_file(tmp_path, name, argv):
     out = tmp_path / name
     code = run(argv + ["--out", str(out)])
     return code, out
+
+
+def hausdorff_config(**overrides):
+    """flats-hausdorff's effective flags: its defaults, then overrides."""
+    cfg = {option.name: option.default for option in cli._HAUSDORFF_OPTS}
+    cfg.update(overrides)
+    return cfg
 
 
 def load_report(path):
@@ -185,11 +192,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,flag", [
         ("flats-hausdorff", "triples"), ("flats-hausdorff", "dim"),
-        ("verify-curvature", "fd-samples")])
+        ("verify-curvature", "fd-samples"),
+        ("ff-lemma", "reduction-samples"), ("ff-lemma", "matrix-size"),
+        ("flats-hausdorff", "cloud-size")])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_count_below_one_returns_two(self, capsys, command, flag, value):
-        # a check over no triples, no coordinates or no finite-difference
-        # points would pass with no evidence
+        # a check over no triples, no coordinates, no finite-difference
+        # points, no matrices, empty matrices or empty clouds would pass
+        # with no evidence
         assert run([command, f"--{flag}", value]) == 2
         assert capsys.readouterr().err == (
             f"error: --{flag}: expected an integer >= 1, got '{value}'\n")
@@ -496,6 +506,41 @@ class TestFlatsCommands:
         assert names == {"flats.hausdorff_identity",
                          "flats.hausdorff_symmetry",
                          "flats.hausdorff_triangle_inequality"}
+
+    @pytest.mark.parametrize("triples", [1, 7, 300])
+    def test_random_mode_makes_five_kernel_calls(self, monkeypatch, triples):
+        # one call per distance family (x-y, y-x, y-z, x-z, x-x), each over
+        # every triple at once; no per-pair calls
+        calls = []
+        kernel = flats.hausdorff_distances
+
+        def counted(firsts, seconds):
+            calls.append(len(firsts))
+            return kernel(firsts, seconds)
+
+        monkeypatch.setattr(flats, "hausdorff_distances", counted)
+        monkeypatch.setattr(flats, "hausdorff_distance", None)
+        checks = cli._run_flats_hausdorff(hausdorff_config(
+            triples=triples, **{"cloud-size": 6}))
+        assert calls == [triples] * 5
+        assert all(check.passed for check in checks)
+
+    @pytest.mark.parametrize("seed,triangle,at", [
+        (0, "-0x1.07c62b0ace570p-2", "triple=83"),
+        (1, "-0x1.301e7e226fbdcp-2", "triple=226"),
+    ])
+    def test_report_worst_values_frozen(self, seed, triangle, at):
+        # report-all's flats-hausdorff: 300 triples of 40-point clouds in
+        # R^3; the values of the per-pair loop the stacked kernel replaced
+        checks = cli._run_flats_hausdorff(hausdorff_config(seed=seed,
+                                                           triples=300))
+        assert [c.name for c in checks] == [
+            "flats.hausdorff_identity", "flats.hausdorff_symmetry",
+            "flats.hausdorff_triangle_inequality"]
+        assert [c.worst_value.hex() for c in checks] == [
+            "0x0.0p+0", "0x0.0p+0", triangle]
+        assert checks[2].location == at
+        assert all(check.passed for check in checks)
 
     def test_hausdorff_compute_mode_from_csv(self, tmp_path):
         first = tmp_path / "x.csv"

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fatflat import flats
 from fatflat.flats import (
@@ -16,6 +18,7 @@ from fatflat.flats import (
     ParallelStripsError,
     PointCloud,
     hausdorff_distance,
+    hausdorff_distances,
     thicken_strips,
     union_volume,
 )
@@ -37,13 +40,13 @@ def brute_force_hausdorff(first, second):
     return max(d_xy, d_yx)
 
 
-def directed_sq_max(source, target):
+def directed_sq_max(source, target, rows=512):
     """Max over source of the squared distance to the nearest target point,
-    _ROW_CHUNK source rows at a time: the two-pass route that the one-pass
-    hausdorff_distance replaced, kept as its exact oracle."""
+    ``rows`` source rows at a time: the two-pass route that the one-pass
+    kernel replaced, kept as its exact oracle."""
     worst = 0.0
-    for start in range(0, source.shape[0], flats._ROW_CHUNK):
-        block = source[start:start + flats._ROW_CHUNK]
+    for start in range(0, source.shape[0], rows):
+        block = source[start:start + rows]
         diff = block[:, None, :] - target[None, :, :]
         nearest = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
         worst = max(worst, float(nearest.max()))
@@ -148,9 +151,12 @@ class TestHausdorffDistance:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_one_pass_equals_two_directed_passes_exactly(self, dim):
-        # sizes on both sides of _ROW_CHUNK (512), a cloud of several
-        # _COL_CHUNK (2048) column blocks, and grid clouds with ties and
-        # duplicates
+        # per pair and as a stack of one: pairs of fewer and of more point
+        # pairs than one 2^16-pair block, clouds of many blocks of rows or
+        # of columns, and grid clouds with ties and duplicates
+        distances = (
+            lambda x, y: hausdorff_distance(PointCloud(x), PointCloud(y)),
+            lambda x, y: float(hausdorff_distances(x[None], y[None])[0]))
         rng = np.random.default_rng(100 + dim)
         sizes = [(1, 1), (1, 600), (600, 1), (7, 13), (511, 3), (512, 40),
                  (513, 513), (600, 257), (90, 600), (700, 4500)]
@@ -165,10 +171,73 @@ class TestHausdorffDistance:
                     y = rng.normal(size=(n_second, dim)) + rng.normal(size=dim)
                 expected = math.sqrt(max(directed_sq_max(x, y),
                                          directed_sq_max(y, x)))
-                got = hausdorff_distance(PointCloud(x), PointCloud(y))
-                assert got == expected, (n_first, n_second, grid)
-                assert hausdorff_distance(PointCloud(y),
-                                          PointCloud(x)) == expected
+                for distance in distances:
+                    got = distance(x, y)
+                    assert got == expected, (n_first, n_second, grid)
+                    assert distance(y, x) == expected
+
+
+class TestHausdorffDistances:
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2, 3]), batch=st.integers(1, 4),
+           n_first=st.integers(1, 400), n_second=st.integers(1, 400),
+           grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(dim=3, batch=4, n_first=256, n_second=256, grid=False, seed=1)
+    @example(dim=1, batch=3, n_first=257, n_second=256, grid=True, seed=2)
+    @example(dim=2, batch=2, n_first=400, n_second=330, grid=False, seed=3)
+    @example(dim=3, batch=4, n_first=40, n_second=41, grid=True, seed=4)
+    def test_equals_per_pair_distance_bit_for_bit(self, dim, batch, n_first,
+                                                  n_second, grid, seed):
+        # up to 160,000 point pairs per cloud pair: the 2^16-pair blocks
+        # hold several pairs, one pair, or a few rows of one pair
+        rng = np.random.default_rng(seed)
+        if grid:
+            firsts = rng.integers(-2, 3, (batch, n_first, dim)) * 0.5
+            seconds = rng.integers(-2, 3, (batch, n_second, dim)) * 0.5
+        else:
+            firsts = rng.normal(size=(batch, n_first, dim))
+            seconds = rng.normal(size=(batch, n_second, dim)) * 3.0
+        got = hausdorff_distances(firsts, seconds)
+        assert got.shape == (batch,)
+        for b in range(batch):
+            expected = hausdorff_distance(PointCloud(firsts[b]),
+                                          PointCloud(seconds[b]))
+            assert got[b].tobytes() == np.float64(expected).tobytes()
+
+    def test_memory_of_a_report_stack_is_bounded(self):
+        # report-all's 300 pairs of 40-point clouds in R^3 hold 480,000
+        # point pairs; one 2^16-pair block of differences is 1.5 MiB
+        rng = np.random.default_rng(3)
+        firsts = rng.random((300, 40, 3))
+        seconds = rng.random((300, 40, 3))
+        tracemalloc.start()
+        try:
+            hausdorff_distances(firsts, seconds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("firsts,seconds", [
+        (np.zeros((2, 3, 2)), np.zeros((3, 3, 2))),   # batch sizes differ
+        (np.zeros((2, 3, 2)), np.zeros((2, 3, 3))),   # dimensions differ
+        (np.zeros((2, 0, 2)), np.zeros((2, 3, 2))),   # empty clouds
+        (np.zeros((2, 3, 2)), np.zeros((2, 0, 2))),
+        (np.zeros((3, 2)), np.zeros((3, 2))),         # not stacks
+        (np.zeros((2, 3, 2)), np.zeros((2, 1, 3, 2))),
+    ])
+    def test_malformed_stacks_rejected(self, firsts, seconds):
+        with pytest.raises(ValueError):
+            hausdorff_distances(firsts, seconds)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        clouds = np.zeros((2, 3, 2))
+        clouds[1, 2, 0] = bad
+        with pytest.raises(ValueError):
+            hausdorff_distances(clouds, np.zeros((2, 4, 2)))
+        with pytest.raises(ValueError):
+            hausdorff_distances(np.zeros((2, 4, 2)), clouds)
 
 
 class TestIsometry:

@@ -360,6 +360,38 @@ class TestGeodesics:
         assert_close(cartesian_end.velocity, polar_end.velocity,
                      abs_tol=1e-10)
 
+    @pytest.mark.parametrize("x0", [0.1, 3.0])
+    def test_non_finite_stage_radius_is_a_non_finite_state(self, x0):
+        # v.v overflows in the first stage's rates, so the second stage's
+        # position and radius are NaN: a non-finite state at node 0, not an
+        # overflow of the chart's coefficients
+        chart = MetricChart.cartesian(WarpingProfile.interpolated(19.0), 1)
+        start = PhaseState([x0, 0.0, 0.0], [1e160, 0.0, 1.0])
+        with pytest.raises(ChartExitError, match="non-finite state") as err:
+            flow.integrate_geodesic(chart, start, 1e-170, step=1e-171)
+        exc = err.value
+        assert exc.time == 0.0
+        assert exc.state.position.tolist() == [x0, 0.0, 0.0]
+        assert exc.state.velocity.tolist() == [1e160, 0.0, 1.0]
+        assert exc.partial.times.tolist() == [0.0]
+        path = flow.GeodesicPath(chart, 1e-171, np.array([0.0, 1e-170]),
+                                 np.array([start.position] * 2),
+                                 np.array([start.velocity] * 2))
+        with pytest.raises(ChartExitError, match="non-finite state") as err:
+            flow.parallel_transport(path, np.eye(3))
+        assert err.value.time == 0.0
+        assert err.value.state.position.tolist() == [x0, 0.0, 0.0]
+
+    def test_non_finite_radius_is_a_chart_domain_error(self):
+        # a radius that is not finite is the state's fault, not the chart's
+        # coefficients', yet still outside the chart's valid region
+        assert issubclass(geometry.NonFiniteRadiusError,
+                          geometry.ChartDomainError)
+        profile = WarpingProfile.interpolated(19.0)
+        for r in (math.nan, math.inf):
+            with pytest.raises(geometry.NonFiniteRadiusError):
+                geometry.axis_connection(profile, r)
+
     def test_cartesian_overflow_is_a_typed_error(self, hyperbolic_profile):
         # this orbit's RK4 stages reach r ~ 1e9, far past the radius where
         # the Cartesian coefficients overflow

@@ -4,6 +4,7 @@ library; the export check imports each module of the package."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -217,3 +218,23 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", child], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def dependency_floor(pyproject: str, package: str) -> tuple[int, ...]:
+    """The version after ``package>=`` in a pyproject text, as integers."""
+    found = re.search(rf'"{package}\s*>=\s*([0-9.]+)', pyproject)
+    assert found, f"no floor for {package}"
+    return tuple(int(part) for part in found.group(1).split("."))
+
+
+def test_checker_reads_a_dependency_floor():
+    text = 'dependencies = [\n    "numpy>=1.24",\n    "scipy >= 1.13",\n]\n'
+    assert dependency_floor(text, "numpy") == (1, 24)
+    assert dependency_floor(text, "scipy") == (1, 13)
+
+
+def test_numpy_floor_has_vecdot_and_mT():
+    # geometry and flow call np.vecdot and ndarray.mT, new in numpy 2.0
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text(
+        encoding="utf-8")
+    assert dependency_floor(pyproject, "numpy") >= (2, 0)
