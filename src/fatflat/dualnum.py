@@ -1,101 +1,6 @@
-"""First-order dual numbers for forward-mode derivatives.
+"""Empty: this module defines no names.
 
-A Dual carries (value, derivative) through arithmetic, so evaluating a
-formula with ``Dual(x, 1.0)`` in place of ``x`` returns the formula's value
-together with its exact derivative at x.  Used where a metric formula is
-easier to differentiate algorithmically than by hand.
+``benchmark/tracer.py`` imports it by name among the modules it wraps, so
+the file stays until the next change to the benchmark drops it from that
+list (ROADMAP item 1).
 """
-
-from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Dual:
-    val: float
-    dot: float = 0.0
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.dot + other.dot)
-        return Dual(self.val + other, self.dot)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.val, -self.dot)
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val - other.val, self.dot - other.dot)
-        return Dual(self.val - other, self.dot)
-
-    def __rsub__(self, other):
-        return Dual(other - self.val, -self.dot)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val * other.val,
-                        self.dot * other.val + self.val * other.dot)
-        return Dual(self.val * other, self.dot * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            inv = 1.0 / other.val
-            return Dual(self.val * inv,
-                        (self.dot - self.val * other.dot * inv) * inv)
-        return Dual(self.val / other, self.dot / other)
-
-    def __rtruediv__(self, other):
-        inv = 1.0 / self.val
-        return Dual(other * inv, -other * self.dot * inv * inv)
-
-    def __pow__(self, n: int):
-        # integer powers only; enough for polynomial metric formulas
-        out = Dual(1.0, 0.0)
-        for _ in range(n):
-            out = out * self
-        return out
-
-
-def value(x) -> float:
-    return x.val if isinstance(x, Dual) else float(x)
-
-
-def sqrt(x):
-    if isinstance(x, Dual):
-        r = math.sqrt(x.val)
-        return Dual(r, 0.5 * x.dot / r)
-    return math.sqrt(x)
-
-
-def sinh(x):
-    if isinstance(x, Dual):
-        return Dual(math.sinh(x.val), math.cosh(x.val) * x.dot)
-    return math.sinh(x)
-
-
-def cosh(x):
-    if isinstance(x, Dual):
-        return Dual(math.cosh(x.val), math.sinh(x.val) * x.dot)
-    return math.cosh(x)
-
-
-def sin(x):
-    if isinstance(x, Dual):
-        return Dual(math.sin(x.val), math.cos(x.val) * x.dot)
-    return math.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Dual):
-        return Dual(math.cos(x.val), -math.sin(x.val) * x.dot)
-    return math.cos(x)
-
-
-def lift(val: float, dot: float = 0.0) -> Dual:
-    return Dual(float(val), float(dot))

@@ -11,13 +11,15 @@ RK4 driver over one flat state of Python floats (position, velocity, frame
 rows, then the m x m entries of the comparison operator U).  Each stage
 evaluates the chart's connection jet once; one bilinear form per chart
 kind, called on one vector at a time, gives the acceleration -Gamma(v, v)
-and every frame vector's transport rate -Gamma(v, w).  On the profile's
-flat piece the Cartesian chart is Euclidean, its connection vanishes, and
-a stage there returns zero rates without calling the form.  The comparison
-operator's curvature term M is built in closed form and in plain floats
-from one radial jet per stage: the profile's four principal ratios times
-Gram matrices of the frame's adapted components, grouped as in
-:func:`fatflat.geometry.curvature_numerator`; only U U is a numpy product.
+and every frame vector's transport rate -Gamma(v, w).  The Cartesian jet
+is :func:`fatflat.geometry.axis_coefficient_jets`; on the profile's flat
+piece the chart is Euclidean, its connection vanishes, that jet is the one
+object ``_FLAT_COEFFS``, and a stage there returns zero rates without
+calling the form.  The comparison operator's curvature term M is built in
+closed form and in plain floats from one radial jet per stage: the
+profile's four principal ratios times Gram matrices of the frame's adapted
+components, grouped as in :func:`fatflat.geometry.curvature_numerator`;
+only U U is a numpy product.
 
 Every metric inner product g(a, b) is the dot product of the adapted parts
 of a and b (see :func:`fatflat.geometry.adapted_components_raw`), with
@@ -53,9 +55,10 @@ from .geometry import (
     ChartDomainError,
     MetricChart,
     NonFiniteRadiusError,
-    _FLAT_CONNECTION,
+    _FLAT_COEFFS,
     _adapted_vectors,
-    axis_connection,
+    _overflow_error,
+    axis_coefficient_jets,
     axis_jet_ratios,
     cartesian_to_polar,
     christoffel,
@@ -253,10 +256,10 @@ def _connection(chart: MetricChart) -> Tuple[Callable, Callable]:
 
         def jet(pos, v):
             x = pos[:d]
-            return axis_connection(profile, math.sqrt(_dot(x, x)))
+            return axis_coefficient_jets(profile, math.sqrt(_dot(x, x)))
 
         def rates(coeffs, pos, v, w):
-            a, b, apr, bpr, tau2, tpr = coeffs
+            a, b, apr, bpr, tau2, tpr, _, _, _ = coeffs
             x, vb, wb, vz, wz = pos[:d], v[:d], w[:d], v[d], w[d]
             sv, sw, q = _dot(vb, x), _dot(wb, x), _dot(wb, vb)
             c = bpr * sv * sw + 2.0 * b * q - apr * q - tpr * vz * wz
@@ -301,21 +304,16 @@ def _connection(chart: MetricChart) -> Tuple[Callable, Callable]:
     return jet, lambda rows, pos, v, w: [_dot(row, w) for row in rows]
 
 
-def _overflow_error(r: float) -> ChartDomainError:
-    return ChartDomainError(
-        f"warped metric terms overflow at r = {r:.17g}: the chart is exact "
-        "only where the warp factors and the terms built from them are finite")
-
-
 def _flat_rates(chart: MetricChart, rows: int = 0) -> Callable:
     """rhs(y, jet=None): rates of the flat state y = (position, velocity,
     ``rows`` frame rows, ...) from one connection jet, ``jet`` if given.
 
-    A Cartesian stage on the flat piece (jet ``_FLAT_CONNECTION``), where
-    the connection vanishes, calls no form and returns -0.0 rates: the
-    form's own zeros there but on the axis, where it gives +0.0 when both
-    its terms are -0.0.  A zero rate leaves a nonzero or +0.0 coordinate
-    as it is, so only an axis coordinate that is already -0.0 can differ."""
+    A Cartesian stage on the flat piece, where the connection vanishes and
+    :func:`fatflat.geometry.axis_coefficient_jets` returns the one object
+    ``_FLAT_COEFFS``, calls no form and returns -0.0 rates: the form's own
+    zeros there but on the axis, where it gives +0.0 when both its terms
+    are -0.0.  A zero rate leaves a nonzero or +0.0 coordinate as it is, so
+    only an axis coordinate that is already -0.0 can differ."""
     connection_jet, rates = _connection(chart)
     dim = chart.dim
     starts = range(2 * dim, (2 + rows) * dim, dim)
@@ -325,7 +323,7 @@ def _flat_rates(chart: MetricChart, rows: int = 0) -> Callable:
         vel = y[dim:2 * dim]  # the forms read the position from y[:dim]
         if jet is None:
             jet = connection_jet(y, vel)
-        if jet is _FLAT_CONNECTION:
+        if jet is _FLAT_COEFFS:
             return vel + zeros
         out = [*vel, *rates(jet, y, vel, vel)]
         for k in starts:
@@ -703,8 +701,11 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0) -> RiccatiResult:
             rec_times.append((i + 1) * h)
             rec_traces.append(reduce(add, (u[k] for k in diag), 0.0))
 
-    y = _rk4(rhs, state.position.tolist() + state.velocity.tolist()
-             + frame.ravel().tolist() + u, n_steps, h, before, after)
+    # a stage's U that is not finite (its curvature term overflowed) is
+    # reported by a later stage's radius or by after(), not by U U's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _rk4(rhs, state.position.tolist() + state.velocity.tolist()
+                 + frame.ravel().tolist() + u, n_steps, h, before, after)
     pos, vel = y[:dim], y[dim:2 * dim]
     guard(n_steps, pos, vel)
     return RiccatiResult(np.array(y[-mm:]).reshape(m, m), np.array(rec_times),

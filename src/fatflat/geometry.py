@@ -196,9 +196,6 @@ def _axis_coeffs_hyperbolic(r: float):
 
 
 _FLAT_COEFFS = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-# the Cartesian connection's six coefficients on the flat piece, where the
-# connection vanishes: one object, so that a stage can tell it is there
-_FLAT_CONNECTION = _FLAT_COEFFS[:6]
 
 
 def axis_coefficient_jets(profile: WarpingProfile, r: float):
@@ -207,32 +204,24 @@ def axis_coefficient_jets(profile: WarpingProfile, r: float):
 
     These nine functions determine the Cartesian metric and its first and
     second coordinate derivatives; all are smooth even functions of r,
-    evaluated in cancellation-free form.  Where one overflows (from r ~ 351.9
-    on the hyperbolic piece) raises :class:`ChartDomainError`; finite is not
-    exact, as the chart's rates cancel A = (sigma/r)^2 against B r^2 terms.
+    evaluated in cancellation-free form.  On the profile's flat piece, where
+    the Cartesian connection vanishes, they are the one object
+    ``_FLAT_COEFFS``, so that a stage can tell it is there.  Where one
+    overflows (from r ~ 351.9 on the hyperbolic piece) raises
+    :class:`ChartDomainError`; finite is not exact, as the chart's rates
+    cancel A = (sigma/r)^2 against B r^2 terms.
     """
     return _checked_axis_jets(r, profile.rho_jet(r))
 
 
-def axis_connection(profile: WarpingProfile, r: float):
-    """axis_coefficient_jets(profile, r)[:6], which the Cartesian connection
-    reads; on the profile's flat piece, the object ``_FLAT_CONNECTION``."""
-    return _axis_connection(r, profile.rho_jet(r))
-
-
 def axis_jet_ratios(profile: WarpingProfile, r: float):
-    """(axis_connection(profile, r), *profile.jet_ratios(r)) from one rho
-    evaluation, as a Riccati stage on the Cartesian chart needs them; the
-    radial jet raises OverflowError past r ~ 710 as jet_ratios does."""
+    """(axis_coefficient_jets(profile, r), *profile.jet_ratios(r)) from one
+    rho evaluation, as a Riccati stage on the Cartesian chart needs them;
+    the radial jet raises OverflowError past r ~ 710 as jet_ratios does."""
     step = profile.rho_jet(r)
     jet = _step_jet(r, *step)
-    return (_axis_connection(r, step), jet,
+    return (_checked_axis_jets(r, step), jet,
             _piece_ratios(*step) or _ramp_ratios(jet))
-
-
-def _axis_connection(r: float, step):
-    jets = _checked_axis_jets(r, step)
-    return _FLAT_CONNECTION if jets is _FLAT_COEFFS else jets[:6]
 
 
 def _checked_axis_jets(r: float, step):
@@ -513,7 +502,7 @@ def plane(point: ChartPoint, u, v) -> TangentPlane:
     return TangentPlane(point, u, v)
 
 
-def _gram(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+def _gram_determinant(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     uu = float(u @ g @ u)
     vv = float(v @ g @ v)
     uv = float(u @ g @ v)
@@ -548,7 +537,7 @@ def sectional_curvature(pl: TangentPlane,
     g = metric_tensor(pl.point)
     nu = pl.u / math.sqrt(float(pl.u @ g @ pl.u))
     nv = pl.v / math.sqrt(float(pl.v @ g @ pl.v))
-    denom = _gram(g, nu, nv)
+    denom = _gram_determinant(g, nu, nv)
     if not denom > _PLANE_TOL:
         raise _parallel_error(denom)
     num = float(np.einsum("ijkl,i,j,k,l", rie, nu, nv, nu, nv))
@@ -562,8 +551,9 @@ def _parallel_error(denom: float) -> DegeneratePlaneError:
 
 def _overflow_error(r: float) -> ChartDomainError:
     return ChartDomainError(
-        f"metric scales sigma^2, tau^2 overflow at r = {r:.17g}: curvature "
-        "is defined only where they are finite")
+        f"warped metric terms overflow at r = {r:.17g}: the chart and its "
+        "curvature are exact only where the warp factors and the terms built "
+        "from them are finite")
 
 
 def _adapted_vectors(chart: MetricChart, coords: np.ndarray,

@@ -3,7 +3,9 @@
 All scans in this package draw from counter-based Philox streams so that a
 result depends only on (seed, sample index), never on how the samples are
 grouped.  Every sample is its own (seed, index) Philox stream, reached by
-re-keying one bit generator (see :func:`sample_streams`).
+re-keying one bit generator (see :func:`sample_streams`).  A sequential
+draw keyed by one seed is the stream (0, seed): ``sample_streams(0)(seed)``
+draws bit for bit what ``Philox(key=seed)`` draws.
 """
 
 from __future__ import annotations
@@ -11,11 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-
-
-def stream(seed: int) -> np.random.Generator:
-    """Single sequential stream keyed by seed."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
 def sample_streams(seed: int):

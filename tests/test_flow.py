@@ -381,6 +381,13 @@ class TestGeodesics:
             flow.parallel_transport(path, np.eye(3))
         assert err.value.time == 0.0
         assert err.value.state.position.tolist() == [x0, 0.0, 0.0]
+        # the curvature term overflows with |v| too, so the second stage's
+        # U is not finite: still the same exit, with no numpy warning
+        with pytest.raises(ChartExitError, match="non-finite state") as err:
+            flow.riccati_expansion(path)
+        assert err.value.time == 0.0
+        assert err.value.state.position.tolist() == [x0, 0.0, 0.0]
+        assert err.value.state.velocity.tolist() == [1e160, 0.0, 1.0]
 
     def test_non_finite_radius_is_a_chart_domain_error(self):
         # a radius that is not finite is the state's fault, not the chart's
@@ -390,7 +397,7 @@ class TestGeodesics:
         profile = WarpingProfile.interpolated(19.0)
         for r in (math.nan, math.inf):
             with pytest.raises(geometry.NonFiniteRadiusError):
-                geometry.axis_connection(profile, r)
+                geometry.axis_coefficient_jets(profile, r)
 
     def test_cartesian_overflow_is_a_typed_error(self, hyperbolic_profile):
         # this orbit's RK4 stages reach r ~ 1e9, far past the radius where
@@ -591,8 +598,9 @@ class TestFlatPiece:
         y = x + data.draw(st.lists(VECTOR_ENTRY, min_size=(1 + rows) * dim + 1,
                                    max_size=(1 + rows) * dim + 1))
         _, rates = flow._connection(chart)
-        coeffs = geometry._FLAT_COEFFS[:6]
-        assert coeffs is not geometry._FLAT_CONNECTION
+        coeffs = tuple([*geometry._FLAT_COEFFS])
+        assert coeffs == geometry._FLAT_COEFFS
+        assert coeffs is not geometry._FLAT_COEFFS
         vel = y[dim:2 * dim]
         want = [*vel, *(c for k in range(dim, (2 + rows) * dim, dim)
                         for c in rates(coeffs, y, vel, y[k:k + dim]))]
@@ -980,7 +988,7 @@ class TestComparisonOperator:
         monkeypatch.undo()
         for r in radii[::7]:
             assert geometry.axis_jet_ratios(profile, r) == (
-                geometry.axis_coefficient_jets(profile, r)[:6],
+                geometry.axis_coefficient_jets(profile, r),
                 *profile.jet_ratios(r))
 
     def test_traces_recorded_monotone_time(self, polar_19):

@@ -96,6 +96,36 @@ def test_no_unreferenced_private_definitions_in_src():
     assert unreferenced_private(sources) == []
 
 
+def shared_definitions(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Module-level function and class names that more than one of
+    ``sources`` (file name -> text) defines, each with those files."""
+    owners: dict[str, list[str]] = {}
+    for name, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owners.setdefault(node.name, []).append(name)
+    return {defined: files for defined, files in sorted(owners.items())
+            if len(set(files)) > 1}
+
+
+def test_checker_flags_a_name_defined_in_two_modules():
+    sources = {
+        "a.py": "def _gram():\n    pass\n\n\nclass Only:\n    pass\n",
+        "b.py": ("def _gram():\n    pass\n\n\ndef outer():\n"
+                 "    def only():\n        pass\n"),
+        "c.py": "class outer:\n    def only(self):\n        pass\n",
+    }
+    assert shared_definitions(sources) == {"_gram": ["a.py", "b.py"],
+                                           "outer": ["b.py", "c.py"]}
+
+
+def test_each_src_definition_has_one_module():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert sources
+    assert shared_definitions(sources) == {}
+
+
 def unresolved_exports(module: types.ModuleType) -> list[str]:
     """Names in ``module.__all__`` that the module does not define."""
     return [name for name in getattr(module, "__all__", ())

@@ -9,7 +9,7 @@ import pytest
 from fatflat import cli, flats, geometry, rng
 from fatflat.geometry import MetricChart
 
-from conftest import sample_stream
+from conftest import MASK64, sample_stream
 
 SEEDS = (0, -1, 1 << 63, (1 << 64) + 5)
 INDICES = (0, 4095, (1 << 64) - 1)
@@ -41,6 +41,18 @@ def _route_matches_oracle(streams) -> bool:
 
 def test_rekeyed_route_matches_fresh_philox_streams():
     assert _route_matches_oracle(rng.sample_streams)
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 1 << 63, (1 << 64) + 5])
+def test_sequential_draws_are_the_stream_keyed_zero_seed(seed):
+    # the CLI's sequential draws: one Philox keyed by the seed alone
+    got = rng.sample_streams(0)(seed)
+    want = np.random.Generator(np.random.Philox(key=seed & MASK64))
+    for draw in (lambda g: g.random(5), lambda g: g.uniform(0.3, 2.0, 5),
+                 lambda g: g.integers(-9, 10, (4, 4)), lambda g: g.random()):
+        a, b = np.asarray(draw(got)), np.asarray(draw(want))
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 def test_oracle_comparison_catches_a_changed_key_layout():
