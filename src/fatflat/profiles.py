@@ -3,9 +3,11 @@ sigma/tau pair interpolating between a flat tube and a hyperbolic cone.
 
 The interpolated profile glues sigma(r) = r near the axis to
 sigma(r) = sinh(r) outside a matching radius, through a smoothed step
-built from the integral of a C-infinity bump.  All order and convexity
-properties required for nonpositive curvature are checked numerically on
-a grid by verify_profile.
+built from the integral of a C-infinity bump.  That integral is read from
+a table built once per bump width: one Taylor polynomial per panel, so a
+query evaluates no exp for it, and the scalar and array paths agree bit
+for bit.  All order and convexity properties required for nonpositive
+curvature are checked numerically on a grid by verify_profile.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 @dataclass(frozen=True)
@@ -34,33 +35,6 @@ class BumpSpec:
                 f"bump width k must be >= 1 with k^4 finite, got {self.k}")
 
 
-def bump_f(spec: BumpSpec, x: float) -> float:
-    """Bump value at x; zero outside [-k, k], maximum exp(-1) at 0."""
-    k = spec.k
-    u = k * k - x * x
-    if u <= 0.0:
-        return 0.0
-    return math.exp(-k * k / u)
-
-
-def bump_f_prime(spec: BumpSpec, x: float) -> float:
-    k = spec.k
-    u = k * k - x * x
-    return 0.0 if u <= 0.0 else bump_f(spec, x) * (-2.0 * k * k * x / (u * u))
-
-
-def bump_f_many(spec: BumpSpec, xs: np.ndarray) -> np.ndarray:
-    k = spec.k
-    xs = np.asarray(xs, dtype=float)
-    u = k * k - xs * xs
-    inside = u > 0.0
-    out = np.zeros_like(xs)
-    # evaluate only strictly inside the support to avoid 1/0 warnings
-    ui = u[inside]
-    out[inside] = np.exp(-k * k / ui)
-    return out
-
-
 def _bump_jet_many(k: float, xs: np.ndarray):
     """(bump values, derivatives) at xs from one exp."""
     u = k * k - xs * xs
@@ -75,94 +49,114 @@ def _bump_jet_many(k: float, xs: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# fast evaluation path: cumulative fixed-order panels
+# fast evaluation path: one polynomial per panel
 #
-# Scans and flow integration evaluate F at millions of points; adaptive
-# quadrature per call is far too slow there.  A cumulative table of
-# 12-node Gauss panels gives machine-accurate values in O(1) per query and
-# is cross-checked against an adaptive-Simpson oracle in the tests.  The
-# scalar path is one closure per profile (_radial_jet), built once per
-# (variant, k): it binds Python-list copies of the table, Python-float nodes
-# and math.exp, so that no numpy scalar and no cache lookup reaches the
-# radial jet; the array path (_F_fast_many, rho_many) reads the arrays.
+# Scans and flow integration evaluate F(x), the bump's integral from -k,
+# at millions of points.  The table cuts [-k, 0] into panels and keeps,
+# per panel [a, b], the Taylor polynomial at a of the integral over
+# [a, x] (from the series of g = -k^2/((k - t)(k + t)) and the recurrence
+# for exp g), and the mass before a as a double-double (cum, lo).  So
+# F(x) = cum + (lo + s Q(s)) with s = (x - a)/unit: no exp, and exactly
+# cum + lo at the left edge.  cum and lo of the next panel are the two-sum
+# of cum and the part at x = b, so F is continuous across every edge in
+# floats, and the masses are summed without rounding error.  The bump is
+# even, so F(x) = total - F(-x) on (0, k].
 #
-# The array path evaluates and weights its panels only in _panel_sums, per
-# fixed block of 4096 rows counted from row 0, on the calling thread: the
-# block's (rows x 12) nodes, their bump values and one BLAS product, so
-# that working memory is bounded by the block, not the batch.  One product
-# over a long batch would let BLAS split the rows across worker threads:
-# the split changes the last bit of some sums with the thread count, and a
-# woken worker spins on for tens of milliseconds after it.  A lone final
-# row joins the block before it, as a one-row product takes another BLAS
-# routine and rounds differently.
+# The panels are k/2048 wide, but narrower near -k, where log f = g rises
+# steeply: there they are spaced evenly in k/(t + k), so that g rises by
+# at most _RISE across each, and the first of the _TERMS Taylor terms left
+# out is below 5e-17 of the panel's part.  The first panel, below
+# t + k = k/_W_MAX, has zero mass in doubles (exp(g) < 1e-325 there) and
+# zero coefficients.  The scalar path is one closure per profile (_radial_jet),
+# built once per (variant, k): it binds Python-list copies of the table, so
+# that no numpy scalar and no cache lookup reaches the radial jet.  The
+# array path (_F_fast_many, rho_many) evaluates the same coefficients with
+# numpy's elementwise * and + in the same order, one column at a time, so
+# that the two paths agree bit for bit, no BLAS routine runs, and the
+# working memory is a few arrays of the batch's length.
 
-_GL_NODES, _GL_WEIGHTS = leggauss(12)
-_GL_PAIRS = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
-_N_PANELS = 4096
-_PANEL_BLOCK = 4096
-
-
-def _panel_sums(values, mid=None, half=None) -> np.ndarray:
-    """values @ _GL_WEIGHTS for the (n, 12) node values of n panels, summed
-    in row blocks [0, 4096), [4096, 8192), ... with a lone last row merged
-    into the block before it, so that the bits depend only on the rows.
-
-    Given the panel midpoints mid and half-widths half (one, or one per
-    panel), values is instead the function that gives the node values at
-    given points: the nodes mid + half * _GL_NODES are then built and
-    evaluated one block at a time, and no (n, 12) array exists."""
-    if mid is None:
-        n, block = len(values), values.__getitem__
-    else:
-        n, half = len(mid), np.broadcast_to(half, mid.shape)
-
-        def block(rows):
-            return values(mid[rows, None] + half[rows, None] * _GL_NODES)
-
-    out = np.empty(n)
-    bounds = [0, *range(_PANEL_BLOCK, n - 1, _PANEL_BLOCK), n]
-    for a, b in zip(bounds, bounds[1:]):
-        out[a:b] = block(slice(a, b)) @ _GL_WEIGHTS
-    return out
+_N_UNIFORM = 2048
+_RISE = 0.5
+_TERMS = 14
+_W_MAX = 1500.0
 
 
 @lru_cache(maxsize=8)
 def _bump_table(k: float):
-    """(edges, cum, edges as a list, cum as a list) of the panel table."""
-    edges = np.linspace(-k, k, _N_PANELS + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    spec = BumpSpec(k)
-    panel = _panel_sums(lambda pts: half * bump_f_many(spec, pts), mid, half)
-    cum = np.concatenate([[0.0], np.cumsum(panel)])
-    return edges, cum, edges.tolist(), cum.tolist()
+    """(edges, cum, coef, unit) of the panel table over [-k, 0]: per panel,
+    the mass before it (cum, with the final mass F(0) last) and the
+    coefficient columns (lo, q_0, ..., q_13) of lo + s Q(s), s in units of
+    unit, the power of two at or above k/2048 (so that the terms stay in
+    range for every k, and s/unit is exact).  The edges: t + k = k/w for
+    w = _W_MAX, ... down in steps of 2 _RISE, up to the first multiple of
+    k/2048 past which a k/2048 panel keeps g's rise below _RISE."""
+    first = math.ceil(math.sqrt(_N_UNIFORM / (2.0 * _RISE)))
+    w = np.arange(_N_UNIFORM / first + 2.0 * _RISE, _W_MAX, 2.0 * _RISE)
+    edges = k * np.concatenate([[0.0], 1.0 / w[::-1], np.arange(
+        first, _N_UNIFORM + 1) / _N_UNIFORM]) - k
+    unit = math.ldexp(1.0, math.frexp(k / _N_UNIFORM)[1])
+    a, width = edges[1:-1], np.diff(edges[1:])
+    # g's Taylor terms at a, times width^j: -(kp/2)(pw)^j - (kq/2)(-qw)^j
+    # with p = 1/(k - a), q = 1/(k + a); and those of exp(g - g(a))
+    kp, kq = k / (k - a), k / (k + a)
+    pw, qw = width / (k - a), -width / (k + a)
+    h = width / unit
+    left, right, g = -0.5 * kp, -0.5 * kq, [None]
+    for _ in range(1, _TERMS):
+        left, right = left * pw, right * qw
+        g.append(left + right)
+    e = [np.ones_like(a)]
+    for m in range(1, _TERMS):
+        acc = g[1] * e[m - 1]
+        for j in range(2, m + 1):
+            acc = acc + j * g[j] * e[m - j]
+        e.append(acc / m)
+    coef = np.zeros((_TERMS + 1, len(a) + 1))
+    scale = np.exp(-kp * kq) * unit
+    for m in range(_TERMS):
+        coef[m + 1, 1:] = scale * e[m] / (m + 1)
+        scale = scale / h
+    acc = coef[_TERMS, 1:]
+    for c in coef[_TERMS - 1:0:-1]:
+        acc = acc * h + c[1:]
+    cum, lo, hi, low = [0.0, 0.0], [0.0, 0.0], 0.0, 0.0
+    for v in (acc * h).tolist():
+        part = v + low
+        s = hi + part
+        b = s - hi
+        low = (hi - (s - b)) + (part - b)
+        hi = s
+        cum.append(hi)
+        lo.append(low)
+    coef[0] = lo[:-1]
+    return edges, np.array(cum), coef, unit
 
 
 def _F_fast_many(k: float, xs: np.ndarray) -> np.ndarray:
-    edges, cum = _bump_table(k)[:2]
+    """F at xs, as _radial_jet's F computes it, bit for bit."""
+    edges, cum, coef, unit = _bump_table(k)
     xs = np.asarray(xs, dtype=float)
-    xc = np.clip(xs, -k, k)
-    idx = np.clip(np.searchsorted(edges, xc, side="right") - 1, 0,
-                  _N_PANELS - 1)
-    a = edges[idx]
-    halfw = 0.5 * (xc - a)
-    spec = BumpSpec(k)
-    sums = _panel_sums(lambda pts: bump_f_many(spec, pts), a + halfw, halfw)
-    return cum[idx] + halfw * sums
+    z = np.clip(-np.abs(xs), -k, 0.0)
+    idx = np.searchsorted(edges[:-1], z, side="right") - 1
+    s = (z - edges[idx]) / unit
+    acc = coef[-1][idx]
+    for c in coef[-2:0:-1]:
+        acc *= s
+        acc += c[idx]
+    acc *= s
+    acc += coef[0][idx]
+    acc += cum[idx]
+    return np.where(xs > 0.0, 2.0 * cum[-1] - acc, acc)
 
 
 def rho_many(spec: BumpSpec, rs: np.ndarray):
-    """(rho, rho', rho'') at the radii rs, an array each.  The panel nodes
-    are evaluated and summed in fixed 4096-row blocks on the calling thread
-    (_panel_sums), so the bits do not depend on the BLAS thread count and
-    the working memory beyond a few arrays of len(rs) is one block."""
+    """(rho, rho', rho'') at the radii rs, an array each; rho is the scalar
+    jet's bit for bit."""
     k = spec.k
     y = np.asarray(rs, dtype=float) - (k + 1.0 / k)
-    total = _bump_table(k)[1][-1]
-    val = _F_fast_many(k, y) / total
-    val[y >= k] = 1.0
+    total = 2.0 * _bump_table(k)[1][-1]
     f, df = _bump_jet_many(k, y)
-    return val, f / total, df / total
+    return _F_fast_many(k, y) / total, f / total, df / total
 
 
 # ---------------------------------------------------------------------------
@@ -279,26 +273,25 @@ def _radial_jet(variant: str, k: float | None):
             return step, jet and piece(r)
 
         return None, radial
-    edges, cum = _bump_table(k)[2:]
-    total, kk, dkk, shift = cum[-1], k * k, -2.0 * k * k, k + 1.0 / k
+    edges, cum, coef, unit = _bump_table(k)
+    n, edges, cum, rows = len(edges) - 1, edges.tolist(), cum.tolist(), \
+        coef.T.tolist()
+    total, kk, dkk, shift = 2.0 * cum[-1], k * k, -2.0 * k * k, k + 1.0 / k
     exp = math.exp
 
     def F(x):
-        if x <= -k:
-            return 0.0
-        if x >= k:
-            return total
-        i = bisect_right(edges, x) - 1  # below the last edge, k
-        a = edges[i]
-        halfw = 0.5 * (x - a)
-        midp = a + halfw
-        acc = 0.0
-        for node, w in _GL_PAIRS:
-            t = midp + halfw * node
-            u = kk - t * t
-            if u > 0.0:
-                acc += w * exp(-kk / u)
-        return cum[i] + halfw * acc
+        z = -x if x > 0.0 else x
+        if z <= -k:
+            v = 0.0
+        else:
+            i = bisect_right(edges, z, 0, n) - 1  # NaN: the last panel
+            s = (z - edges[i]) / unit
+            lo, c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13 = \
+                rows[i]
+            v = cum[i] + (lo + s * (c0 + s * (c1 + s * (c2 + s * (c3 + s * (
+                c4 + s * (c5 + s * (c6 + s * (c7 + s * (c8 + s * (c9 + s * (
+                    c10 + s * (c11 + s * (c12 + s * c13))))))))))))))
+        return total - v if x > 0.0 else v
 
     def radial(r, jet=True):
         if r < 0.0:
@@ -396,8 +389,9 @@ class WarpingProfile:
 
     def _jet_many(self, rs: np.ndarray):
         """(step jet, sigma_tau jet) as arrays at every radius of a 1-d
-        rs >= 0, from one step; blocked as rho_many is, so the bits do not
-        depend on the BLAS thread count and the working memory is bounded."""
+        rs >= 0, from one step; elementwise as rho_many is, so the bits do
+        not depend on the BLAS thread count and the working memory is a few
+        arrays of len(rs)."""
         one, zero = np.ones_like(rs), np.zeros_like(rs)
         if self.variant == "flat":
             return (zero, zero, zero), (rs.copy(), one, zero, one.copy(),

@@ -30,20 +30,26 @@ FROZEN_CROSSING_TRACE = 2.211653496683519
 # U(T) and its recorded traces along a unit-speed ramp orbit (k=19 profile,
 # polar n = 1, start r = 12, T = 0.5, step 1e-3, unit c0), bit for bit with
 # every sigma and tau read from the scalar radial jet, the start velocity's
-# and the start frame's included
-FROZEN_RAMP_U = ["0x1.1d021d8cc7344p+0", "0x1.9d822c99b0d85p-16",
-                 "0x1.9d822c99b0d85p-16", "0x1.1e7dcba6c2facp+0"]
+# and the start frame's included; the same run with rho rounded from a
+# 40-digit mpmath integral reads each diagonal entry 1 ulp from these and
+# the off-diagonal ones 2,920 ulp (1.0e-17) from them, and 11,018 ulp from
+# the Gauss-panel table's
+FROZEN_RAMP_U = ["0x1.1d021d8cc7344p+0", "0x1.9d822c99b43f7p-16",
+                 "0x1.9d822c99b43f7p-16", "0x1.1e7dcba6c2facp+0"]
 FROZEN_RAMP_TRACES = ["0x1.0000000000000p+1", "0x1.08c86647f9dc8p+1",
                       "0x1.0fe7a1be7bd46p+1", "0x1.159fdaa2211f4p+1",
                       "0x1.1a2c197f2dcd8p+1", "0x1.1dbff499c5178p+1"]
 
 # end state of a unit-speed four_d_model geodesic (k=19 profile, start
 # (12, 1.1, 0.7, 0.3), direction (0.3, -0.2, 0.5, 0.1), T = 0.5, step 1e-3),
-# bit for bit with the start speed from the scalar radial jet
+# bit for bit with the start speed from the scalar radial jet; the same run
+# with rho rounded from a 40-digit mpmath integral reads the position
+# bit for bit and the velocity 2, 1, 2 and 1 ulp from these (0, 9, 13 and
+# 6 ulp from the Gauss-panel table's)
 FROZEN_FOUR_D_END_POSITION = ["0x1.8476c037a75b8p+3", "0x1.1998e660a14e0p+0",
                               "0x1.6669e68797bf5p-1", "0x1.333499a1e6ce9p-2"]
-FROZEN_FOUR_D_END_VELOCITY = ["0x1.0ee7b76ff4759p-1", "-0x1.1f48f5b735d23p-16",
-                              "0x1.671eae4c990e2p-15", "0x1.1f3fd00aca0afp-17"]
+FROZEN_FOUR_D_END_VELOCITY = ["0x1.0ee7b76ff475bp-1", "-0x1.1f48f5b735d1bp-16",
+                              "0x1.671eae4c990d7p-15", "0x1.1f3fd00aca0a8p-17"]
 
 # a frame carried inside the flat tube of the k=19 profile (r <= 0.017 <
 # 1/39) on the Cartesian chart with n = 2: start (0.012, -0.007, 0.004,

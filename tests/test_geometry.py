@@ -33,11 +33,13 @@ FROZEN_RADIAL_AXIS_SECTIONAL = -1.1752641574406042
 
 # extremes of a 2000-sample four_d_model scan (k=19, seed 42) and their
 # coordinates, bit for bit as the chart gave them when it was a chart kind
-# of its own
+# of its own; the minimum is the one it reads with rho rounded from a
+# 40-digit mpmath integral at its radius (-0x1.abdad50c79dcep+0 with the
+# Gauss-panel table)
 FROZEN_FOUR_D_SCAN_MAX = ("0x0.0p+0", [
     "0x1.38d4c65945d8ap-6", "0x1.4a1cb7c2beef7p+1", "0x1.041a4f4512b77p+1",
     "-0x1.059602828c584p-1"])
-FROZEN_FOUR_D_SCAN_MIN = ("-0x1.abdad50c79dcep+0", [
+FROZEN_FOUR_D_SCAN_MIN = ("-0x1.abdad50c79dd2p+0", [
     "0x1.f7c1f47de7e7dp+2", "0x1.8aae0dba3afd4p+1", "0x1.0bf062b45cc27p+1",
     "-0x1.b14f7c08362acp-1"])
 

@@ -1,8 +1,10 @@
 """Source hygiene checks: the source checks need only the standard
-library; the export check imports each module of the package."""
+library; the export check imports each module of the package, and the
+exp-count check runs the ramp's radial jet."""
 
 import ast
 import importlib
+import math
 import os
 import re
 import subprocess
@@ -150,56 +152,68 @@ def test_every_export_in_src_resolves():
 PRODUCT_CALLS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot"}
 
 
-def products_reading(source: str, name: str, owner: str) -> list[int]:
-    """Lines of the products (``*``, ``@``, their augmented assignments, or
-    a dot, matmul, einsum, inner, tensordot or vdot call) that read
-    ``name`` outside the function ``owner``."""
-    tree = ast.parse(source)
-    inside = {id(node) for top in ast.walk(tree)
-              if isinstance(top, ast.FunctionDef) and top.name == owner
-              for node in ast.walk(top)}
+def matrix_products(source: str) -> list[int]:
+    """Lines of the matrix products in a source: ``@``, ``@=``, and calls
+    named dot, matmul, einsum, inner, tensordot or vdot."""
     lines = set()
-    for node in ast.walk(tree):
-        if id(node) in inside:
-            continue
-        product = (isinstance(node, (ast.BinOp, ast.AugAssign))
-                   and isinstance(node.op, (ast.Mult, ast.MatMult))
-                   or isinstance(node, ast.Call) and PRODUCT_CALLS & {
-                       getattr(node.func, "id", None),
-                       getattr(node.func, "attr", None)})
-        if product and any(
-                isinstance(n, ast.Name) and n.id == name
-                or isinstance(n, ast.Attribute) and n.attr == name
-                for n in ast.walk(node)):
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Call) and PRODUCT_CALLS & {
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)}):
             lines.add(node.lineno)
     return sorted(lines)
 
 
-def test_checker_flags_a_weight_product_outside_its_helper():
-    source = ("W = [1.0]\n\n\ndef _sums(v):\n    return v @ W\n\n\n"
-              "def f(v):\n    return 2.0 * _sums(v) + v @ W\n\n\n"
-              "def g(v, np):\n    v *= W\n"
-              "    return np.einsum('ij,j', v, m.W)\n")
-    assert products_reading(source, "W", "_sums") == [9, 13, 14]
+def test_checker_flags_a_matrix_product():
+    source = ("def f(v, w, np):\n    x = v * w\n    x @= w\n"
+              "    return np.einsum('ij,j', v, x) + v @ w + dot(v, w)\n")
+    assert matrix_products(source) == [3, 4]
 
 
-def gauss_products_outside_panel_sums(name: str) -> dict[str, list[int]]:
-    found = {path.name: products_reading(path.read_text(encoding="utf-8"),
-                                         name, "_panel_sums")
-             for path in sorted(SRC.glob("*.py"))}
-    return {file: lines for file, lines in found.items() if lines}
+def test_profiles_forms_no_matrix_product():
+    # a BLAS product over a long batch splits its rows across worker
+    # threads, and the split moves the last bit of some sums; the panel
+    # table and both profile jets take elementwise sums and products only
+    source = (SRC / "profiles.py").read_text(encoding="utf-8")
+    assert matrix_products(source) == []
 
 
-def test_gauss_weights_are_applied_only_in_panel_sums():
-    # one BLAS product over a long batch wakes threaded BLAS, whose row
-    # split changes the bits; _panel_sums sums in fixed blocks instead
-    assert gauss_products_outside_panel_sums("_GL_WEIGHTS") == {}
+def math_calls(function, *args) -> dict[str, int]:
+    """{name: count} of the math module's functions that function(*args)
+    calls, from the interpreter's profile events for C calls."""
+    counts: dict[str, int] = {}
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__module__", None) == "math":
+            counts[arg.__name__] = counts.get(arg.__name__, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return counts
 
 
-def test_gauss_nodes_are_built_only_in_panel_sums():
-    # the nodes of a whole batch take an (n, 12) array; _panel_sums builds
-    # them one fixed block at a time
-    assert gauss_products_outside_panel_sums("_GL_NODES") == {}
+def test_checker_counts_math_calls():
+    def twice(x):
+        exp = math.exp
+        return exp(x) + exp(-x) + math.sinh(x) + abs(x) + len(str(x))
+
+    assert math_calls(twice, 0.5) == {"exp": 2, "sinh": 1}
+
+
+def test_ramp_jet_calls_exp_once():
+    # the bump's own exp, and sinh r, sinh(r/2) and cosh r for the blend;
+    # the step integral F is one polynomial per panel and calls none
+    profiles = importlib.import_module("fatflat.profiles")
+    profile = profiles.WarpingProfile.interpolated(19.0)
+    profile.jet(20.0)  # builds the panel table and binds the jet
+    for r in (0.5, 12.0, 20.0, 30.0):
+        assert math_calls(profile.jet, r) == {"exp": 1, "sinh": 2,
+                                              "cosh": 1}, r
 
 
 def array_jets() -> set[str]:

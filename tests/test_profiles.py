@@ -4,12 +4,14 @@ Regression constants below are frozen from an independent quadrature oracle
 (composite Gauss-Legendre with compensated summation, re-run in-test) and
 from dense brute-force scans at a 1e-6 grid; the adaptive-Simpson oracle
 below must agree with them independently, and the package's panel table
-with it.
+with it.  A 40-digit mpmath integral is the oracle for the table's last
+bits.
 """
 
 import ast
 import copy
 import dataclasses
+import functools
 import hashlib
 import inspect
 import math
@@ -21,8 +23,10 @@ import threading
 import time
 import tracemalloc
 from bisect import bisect_right
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -50,6 +54,22 @@ UNIT_RAMP_MIN_REFINED = -0.8124639048848018
 UNIT_RAMP_ARGMIN_REFINED = 2.7566436111799684
 # worst value reported by verify_profile(k=1) on grid [0, 20], step 1e-4
 UNIT_RAMP_MIN_COARSE = -0.8124638435465542
+
+
+def bump_f(spec: BumpSpec, x: float) -> float:
+    """Oracle: the bump at x; zero outside [-k, k], maximum exp(-1) at 0."""
+    k = spec.k
+    u = k * k - x * x
+    if u <= 0.0:
+        return 0.0
+    return math.exp(-k * k / u)
+
+
+def bump_f_prime(spec: BumpSpec, x: float) -> float:
+    """Oracle: the bump's derivative at x."""
+    k = spec.k
+    u = k * k - x * x
+    return 0.0 if u <= 0.0 else bump_f(spec, x) * (-2.0 * k * k * x / (u * u))
 
 
 def gauss_total_mass(k: float, panels: int = 10_000, nodes: int = 12) -> float:
@@ -125,9 +145,9 @@ def bump_integral_F(spec: BumpSpec, x: float, tol: float = 1e-12) -> float:
     if x >= k:
         if key not in _TOTAL_MEMO:
             _TOTAL_MEMO[key] = _adaptive_simpson(
-                lambda t: profiles.bump_f(spec, t), -k, k, tol)
+                lambda t: bump_f(spec, t), -k, k, tol)
         return _TOTAL_MEMO[key]
-    return _adaptive_simpson(lambda t: profiles.bump_f(spec, t), -k, x, tol)
+    return _adaptive_simpson(lambda t: bump_f(spec, t), -k, x, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -155,24 +175,24 @@ class TestBumpFunction:
     def test_derivative_matches_finite_difference(self):
         spec = BumpSpec(18.0)
         h = 1e-6
-        for x in (-15.0, -6.0, 0.5, 7.0, 13.0, 17.0):
-            fd = (profiles.bump_f(spec, x + h)
-                  - profiles.bump_f(spec, x - h)) / (2 * h)
-            an = profiles.bump_f_prime(spec, x)
+        xs = [-15.0, -6.0, 0.5, 7.0, 13.0, 17.0]
+        derivatives = profiles._bump_jet_many(18.0, np.array(xs))[1]
+        for x, an in zip(xs, derivatives.tolist()):
+            fd = (bump_f(spec, x + h) - bump_f(spec, x - h)) / (2 * h)
             assert an == pytest.approx(fd, rel=1e-7, abs=1e-12)
 
     def test_derivative_zero_outside_support(self):
-        spec = BumpSpec(18.0)
-        assert profiles.bump_f_prime(spec, 18.0) == 0.0
-        assert profiles.bump_f_prime(spec, 25.0) == 0.0
+        f, df = profiles._bump_jet_many(18.0, np.array([18.0, 25.0]))
+        assert f.tolist() == [0.0, 0.0]
+        assert df.tolist() == [0.0, 0.0]
 
     def test_vectorized_matches_scalar(self):
         spec = BumpSpec(19.0)
         xs = np.linspace(-20.0, 20.0, 401)
-        vec = profiles.bump_f_many(spec, xs)
-        for x, v in zip(xs, vec):
-            assert v == pytest.approx(profiles.bump_f(spec, float(x)),
-                                      rel=1e-15)
+        for x, v, d in zip(xs.tolist(),
+                           *profiles._bump_jet_many(19.0, xs)):
+            assert v == pytest.approx(bump_f(spec, x), rel=1e-15)
+            assert d == pytest.approx(bump_f_prime(spec, x), rel=1e-15)
 
     def test_width_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -208,7 +228,7 @@ class TestBumpFunction:
 
 
 def bump18(x: float) -> float:
-    return profiles.bump_f(BumpSpec(18.0), x)
+    return bump_f(BumpSpec(18.0), x)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +238,11 @@ def bump18(x: float) -> float:
 def fast_F(x: float) -> float:
     """F(x) of the k = 19 profile from the scalar panel-table path."""
     return profiles._radial_jet("interpolated", 19.0)[0](x)
+
+
+def fast_total(k: float) -> float:
+    """The table's total mass of the width-k bump, F(k)."""
+    return profiles._radial_jet("interpolated", k)[0](k)
 
 
 class TestCumulativeMass:
@@ -272,21 +297,22 @@ class TestCumulativeMass:
     def test_fast_table_frozen_bit_for_bit(self):
         # float.hex() of the table's F(x) at k = 19, frozen: the scalar path
         # must reproduce every bit, at an exact panel edge and at the float
-        # just above it too
-        edge = -9.72265625  # edge 1000 of the 4096-panel table
+        # just above it too; each value is within 2.5 ulp of a 40-digit
+        # mpmath integral, and all but F(-18) within 0.9 ulp
+        edge = -9.72265625  # -k + 1000 k/2048, an edge of the table
         frozen = {
-            -18.0: "0x1.569ebe8ce8d47p-18",
-            -7.3: "0x1.abad510984667p+0",
-            0.0: "0x1.0df2bfdf296cfp+2",
-            4.1: "0x1.6cf5d6f1ac7d4p+2",
-            12.9: "0x1.0408eb8dc883bp+3",
-            18.999: "0x1.0df2bfdf296dcp+3",
-            edge: "0x1.f562219e54e0cp-1",
-            math.nextafter(edge, math.inf): "0x1.f562219e54e10p-1",
-            19.0: "0x1.0df2bfdf296dcp+3",
+            -18.0: "0x1.569ebe8ce8d4ap-18",
+            -7.3: "0x1.abad51098466ap+0",
+            0.0: "0x1.0df2bfdf296d7p+2",
+            4.1: "0x1.6cf5d6f1ac7dcp+2",
+            12.9: "0x1.0408eb8dc883fp+3",
+            18.999: "0x1.0df2bfdf296d7p+3",
+            edge: "0x1.f562219e54e10p-1",
+            math.nextafter(edge, math.inf): "0x1.f562219e54e14p-1",
+            19.0: "0x1.0df2bfdf296d7p+3",
             -19.0: "0x0.0p+0",
         }
-        assert profiles._bump_table(19.0)[0][1000] == edge
+        assert edge in profiles._bump_table(19.0)[0]
         for x, value in frozen.items():
             assert fast_F(x).hex() == value, x
 
@@ -300,18 +326,17 @@ class TestCumulativeMass:
 
 
 # ---------------------------------------------------------------------------
-# array panel sums: fixed row blocks on the calling thread
+# array path: the scalar path's arithmetic, elementwise, on the calling thread
 # ---------------------------------------------------------------------------
 
 BLAS_SIZES = (4097, 40374, 65537, 100001)
-LONE_ROW_SIZES = (4097, 8193, 12289, 16385)
 
 
 def rho_digests(sizes, batches=4):
     """{n: sha256 of rho_many's three arrays at k = 19} over ``batches``
     seeded draws of n radii in (0.1, 0.4): there the partial panel
-    outweighs the panels before it, so that a last-bit change in one panel
-    sum reaches rho."""
+    outweighs the panels before it, so that a last-bit change in one
+    panel's part reaches rho."""
     digests = {}
     for n in sizes:
         digest = hashlib.sha256()
@@ -323,19 +348,11 @@ def rho_digests(sizes, batches=4):
     return digests
 
 
-def weight_digests(sizes, one_product=False, batches=4):
-    """{n: sha256 of the panel sums of rows} over ``batches`` seeded (n, 12)
-    arrays of standard normal rows, from _panel_sums or, if ``one_product``,
-    from one product with the Gauss weights."""
-    digests = {}
-    for n in sizes:
-        digest = hashlib.sha256()
-        for batch in range(batches):
-            rows = np.random.default_rng([n, batch]).standard_normal((n, 12))
-            digest.update((rows @ profiles._GL_WEIGHTS if one_product
-                           else profiles._panel_sums(rows)).tobytes())
-        digests[n] = digest.hexdigest()
-    return digests
+def table_digests(widths):
+    """{k: sha256 of the panel table's edges, masses and coefficients}."""
+    return {k: hashlib.sha256(b"".join(
+        np.asarray(part).tobytes() for part in profiles._bump_table(k))
+    ).hexdigest() for k in widths}
 
 
 def one_blas_thread(function, *args):
@@ -371,18 +388,18 @@ def other_threads_cpu_s():
 
 class TestPanelSums:
     def test_array_jet_bits_do_not_depend_on_blas_threads(self):
-        # one BLAS product over a long batch splits its rows across worker
-        # threads, and the split moves the last bit of some panel sums
+        # one BLAS product over a long batch would split its rows across
+        # worker threads, and the split moves the last bit of some sums
         here = rho_digests(BLAS_SIZES)
         one_thread = one_blas_thread(rho_digests, BLAS_SIZES)
         same = {n: here[n] == one_thread[n] for n in BLAS_SIZES}
         assert same == dict.fromkeys(BLAS_SIZES, True)
 
-    def test_blocks_with_a_lone_last_row_match_one_product(self):
-        # a one-row product takes another BLAS routine: the lone row past
-        # the last full block is summed with the block before it
-        one_thread = one_blas_thread(weight_digests, LONE_ROW_SIZES, True)
-        assert weight_digests(LONE_ROW_SIZES) == one_thread
+    def test_coefficient_table_bits_do_not_depend_on_blas_threads(self):
+        # the table is built from elementwise sums and products, with no
+        # matrix product that BLAS could split across its threads
+        widths = (1.0, 19.0, 40.0)
+        assert table_digests(widths) == one_blas_thread(table_digests, widths)
 
     def test_verify_profile_leaves_blas_workers_idle(self, ramp19):
         me = Path(f"/proc/self/task/{threading.get_native_id()}/schedstat")
@@ -407,14 +424,14 @@ class TestPanelSums:
         assert all(c.shape == (0,) for c in ramp19._jet_many(np.empty(0))[1])
         one = profiles._F_fast_many(19.0, np.array([-7.3]))
         assert one.shape == (1,)
-        assert one[0].hex() == "0x1.abad510984667p+0"
+        assert one[0].hex() == "0x1.abad51098466ap+0"
         frozen = {
-            12.0: ("0x1.0791f2f48dd9ap+14", "0x1.36aff79d37e49p+14",
-                   "0x1.686cc2dc7f038p+14", "0x1.076f1085a197dp+14",
-                   "0x1.36ae6e6bb9838p+14", "0x1.686d24fcca1d8p+14"),
+            12.0: ("0x1.0791f2f48dda1p+14", "0x1.36aff79d37e51p+14",
+                   "0x1.686cc2dc7f041p+14", "0x1.076f1085a1984p+14",
+                   "0x1.36ae6e6bb983fp+14", "0x1.686d24fcca1e1p+14"),
             0.5: ("0x1.00000000000cbp-1", "0x1.00000000016dep+0",
-                  "0x1.3341935052ab4p-34", "0x1.0000000000265p+0",
-                  "0x1.0b3d0e8010a1ap-37", "0x1.afe6093e3c84fp-32"),
+                  "0x1.3341935052ab9p-34", "0x1.0000000000265p+0",
+                  "0x1.0b3d0e8010a1ep-37", "0x1.afe6093e3c857p-32"),
         }
         for r, values in frozen.items():
             jet = ramp19._jet_many(np.array([r]))[1]
@@ -422,39 +439,84 @@ class TestPanelSums:
             assert tuple(c[0].hex() for c in jet) == values, r
 
 
-# sizes at and around the 4096-row block edges, with a lone last row
-BLOCK_EDGE_SIZES = (0, 1, 2, 4095, 4096, 4097, 4098, 8193, 40374, 60001,
-                    65537, 100001, 300000)
+@functools.lru_cache(maxsize=4)
+def table_lists(k: float):
+    """The panel table of width k as Python lists, and its unit."""
+    return tuple(np.asarray(part).tolist() for part in profiles._bump_table(k))
 
 
-def whole_array_F(k, xs):
-    """_F_fast_many from one (n, 12) array of all its node values, summed
-    by _panel_sums: the route that evaluating the nodes per block replaced,
-    kept as its exact reference."""
-    edges, cum = profiles._bump_table(k)[:2]
-    xc = np.clip(xs, -k, k)
-    idx = np.clip(np.searchsorted(edges, xc, side="right") - 1, 0,
-                  profiles._N_PANELS - 1)
-    a = edges[idx]
-    halfw = 0.5 * (xc - a)
-    pts = (a + halfw)[:, None] + halfw[:, None] * profiles._GL_NODES[None, :]
-    vals = profiles.bump_f_many(BumpSpec(k), pts.ravel()).reshape(pts.shape)
-    return cum[idx] + halfw * profiles._panel_sums(vals)
+def table_F(k: float, x: float, fused: bool = False) -> float:
+    """F(x) from the panel table by its steps, each on its own: the
+    reflection of x > 0, the panel lookup, and Horner's rule on the panel's
+    coefficients, each product and each sum rounded on its own or, if
+    ``fused``, each product and the sum after it rounded once, as a fused
+    multiply-add rounds them."""
+    edges, cum, coef, unit = table_lists(k)
+
+    def mul_add(a, b, c):
+        if fused:
+            return float(Fraction(a) * Fraction(b) + Fraction(c))
+        return a * b + c
+
+    z = -x if x > 0.0 else x
+    v = 0.0
+    if z > -k or z != z:
+        i = bisect_right(edges, z, 0, len(edges) - 1) - 1
+        s = (z - edges[i]) / unit
+        lo, *q = (c[i] for c in coef)
+        acc = q.pop()
+        while q:
+            acc = mul_add(acc, s, q.pop())
+        v = cum[i] + mul_add(acc, s, lo)
+    return 2.0 * cum[-1] - v if x > 0.0 else v
+
+
+def edge_points(k: float) -> list[float]:
+    """Every panel edge of F on [-k, k], the mirrored ones included, with
+    the floats on either side of it, in ascending order."""
+    edges = profiles._bump_table(k)[0].tolist()
+    return sorted(p for e in edges + [-e for e in edges[:-1]]
+                  for p in (math.nextafter(e, -math.inf), e,
+                            math.nextafter(e, math.inf)))
 
 
 class TestBlockedNodes:
     @pytest.mark.parametrize("k", [1.0, 2.0, 19.0])
-    def test_equals_whole_array_nodes_bit_for_bit(self, k):
-        for n in BLOCK_EDGE_SIZES:
+    def test_array_F_equals_scalar_F_bit_for_bit(self, k):
+        F = profiles._radial_jet("interpolated", k)[0]
+        for n in (0, 1, 2, 4097, 100001):
             xs = np.random.default_rng([n, int(k)]).uniform(-1.1 * k,
                                                              1.1 * k, n)
             assert (profiles._F_fast_many(k, xs).tobytes()
-                    == whole_array_F(k, xs).tobytes()), n
+                    == np.array([F(x) for x in xs.tolist()]).tobytes()), n
+        xs = [*edge_points(k), -k, k, 0.0, -0.0, -math.inf, math.inf]
+        assert (profiles._F_fast_many(k, np.array(xs)).tobytes()
+                == np.array([F(x) for x in xs]).tobytes())
+        assert np.isnan(profiles._F_fast_many(k, np.array([math.nan]))[0])
+        assert math.isnan(F(math.nan))
+
+    def test_scalar_rho_equals_rho_many_bit_for_bit(self, ramp19):
+        rs = np.random.default_rng(5).uniform(0.0, 45.0, 20_000)
+        scalar = [ramp19.rho_jet(r)[0] for r in rs.tolist()]
+        assert (profiles.rho_many(ramp19.bump, rs)[0].tobytes()
+                == np.array(scalar).tobytes())
+
+    def test_horner_rounds_each_product_and_sum(self):
+        # both paths round each product and each sum on their own: they
+        # equal the step-by-step reference, and a fused multiply-add, which
+        # would round them once, reads otherwise at some of these points
+        xs = np.random.default_rng(9).uniform(-19.0, -18.6, 400).tolist()
+        F = profiles._radial_jet("interpolated", 19.0)[0]
+        plain = [table_F(19.0, x) for x in xs]
+        assert [F(x) for x in xs] == plain
+        assert profiles._F_fast_many(19.0, np.array(xs)).tolist() == plain
+        assert [table_F(19.0, x, fused=True) for x in xs] != plain
 
     @pytest.mark.parametrize("route", ["rho_many", "_jet_many"])
     def test_working_memory_is_bounded_by_the_block(self, ramp19, route):
-        # whole (n, 12) node arrays peaked at 628 (rho_many) and 660
-        # (_jet_many) bytes per radius
+        # whole (n, 12) node arrays once peaked at 628 (rho_many) and 660
+        # (_jet_many) bytes per radius; Horner's rule one coefficient column
+        # at a time holds a few arrays of the batch's length
         jet = {"rho_many": lambda rs: profiles.rho_many(ramp19.bump, rs),
                "_jet_many": ramp19._jet_many}[route]
         rs = np.linspace(0.0, 45.0, 10 ** 6)
@@ -524,6 +586,92 @@ class TestRamp:
             assert v[i] == pytest.approx(sv, rel=1e-13, abs=1e-15)
             assert d[i] == pytest.approx(sd, rel=1e-13, abs=1e-15)
             assert dd[i] == pytest.approx(sdd, rel=1e-13, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the step's sign and order at the window's ends, and its last bits
+# ---------------------------------------------------------------------------
+
+WIDTHS = (1.0, 2.0, 19.0, 40.0)
+
+# rho at np.random.default_rng(12).uniform(1/19, 38 + 1/19, 12) on k = 19
+# from the table of 12-node Gauss panels that the polynomial table replaced:
+# 3.8 to 20.8 ulp off the mpmath value, and 560 ulp at r = 0.16
+GAUSS_PANEL_RHO = (
+    "0x1.fbb08d5295dccp-4", "0x1.ffddb65d50cd2p-1", "0x1.e8944dafd042fp-5",
+    "0x1.a26d5c3908c91p-5", "0x1.0923d6e392733p-2", "0x1.9c6f125c0c445p-4",
+    "0x1.8ad02b35cad1ep-1", "0x1.832065e6a8713p-7", "0x1.fbf833728a9ecp-1",
+    "0x1.f35431fd6d893p-1", "0x1.337fe1988b599p-141", "0x1.2319f08409875p-1")
+
+
+def mp_bump_integral(k: float, y: float):
+    """Oracle: the bump's integral from -k to y <= 0, at the working
+    precision.  With t = -k + k/w it is
+    k exp(-w_y/2) int_0^inf exp(w_y/2 + g)/w^2 dv, w = w_y + v and
+    g = -w^2/(2w - 1), an integrand of order one that mpmath integrates
+    piece by piece; one quadrature of the bump over [-k, y] is 1.2e-3 off
+    at y = -18.95."""
+    wy = k / (mpmath.mpf(y) + k)
+
+    def integrand(v):
+        w = wy + v
+        return mpmath.exp(wy / 2 - w * w / (2 * w - 1)) / (w * w)
+
+    return k * mpmath.exp(-wy / 2) * mpmath.quad(
+        integrand, [0, 1, 10, 100, mpmath.inf])
+
+
+def ulps_off(value: float, exact) -> float:
+    return float(abs(mpmath.mpf(value) - exact) / math.ulp(float(exact)))
+
+
+class TestStepOrder:
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_ratios_nonpositive_where_the_ramp_starts(self, k):
+        # rho is below 1e-59 over much of these radii, where the bump rises
+        # by up to e^15 across one k/2048 panel: a step that dips below 0
+        # there reads as a positive curvature
+        profile = WarpingProfile.interpolated(k)
+        rs = np.linspace(1.0 / k, 1.0 / k + 0.1 * k / 19.0, 20_001)
+        positive = [r for r in rs.tolist()
+                    if max(profile.curvature_ratios(r)) > 0.0]
+        assert positive == []
+
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_rho_in_unit_interval_and_nondecreasing(self, k):
+        total = fast_total(k)
+        for lo, hi, n in ((-k, k, 400_001), (-k, -18.9 / 19.0 * k, 200_001),
+                          (18.5 / 19.0 * k, k, 200_001)):
+            rho = profiles._F_fast_many(k, np.linspace(lo, hi, n)) / total
+            assert 0.0 <= rho.min() and rho.max() <= 1.0, (lo, hi)
+            assert (np.diff(rho) >= 0.0).all(), (lo, hi)
+
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_rho_nondecreasing_across_panel_edges(self, k):
+        F, total = profiles._radial_jet("interpolated", k)[0], fast_total(k)
+        rho = [F(x) / total for x in edge_points(k)]
+        assert all(a <= b for a, b in zip(rho, rho[1:]))
+
+
+class TestAgainstMpmath:
+    def test_total_mass_is_correctly_rounded(self):
+        with mpmath.workdps(40):
+            exact = 2 * mp_bump_integral(19.0, 0.0)
+            assert abs(exact - mpmath.mpf(
+                "8.43588250719350931863792950224")) < 1e-28
+            # the Gauss-panel table's total was 5.2 ulp (1.10e-15) off
+            assert ulps_off(fast_total(19.0), exact) <= 0.5
+
+    def test_rho_no_further_off_than_the_gauss_panels(self, ramp19):
+        rs = np.random.default_rng(12).uniform(1 / 19, 38 + 1 / 19, 12)
+        with mpmath.workdps(40):
+            total = 2 * mp_bump_integral(19.0, 0.0)
+            for r, gauss in zip(rs.tolist(), GAUSS_PANEL_RHO):
+                y = r - (19.0 + 1.0 / 19.0)
+                exact = (total - mp_bump_integral(19.0, -y) if y > 0.0
+                         else mp_bump_integral(19.0, y)) / total
+                assert (ulps_off(ramp19.rho_jet(r)[0], exact)
+                        <= ulps_off(float.fromhex(gauss), exact)), r
 
 
 # ---------------------------------------------------------------------------
@@ -630,30 +778,19 @@ class TestWarpingFunctions:
 
 def reference_step(k: float, r: float):
     """(rho, rho', rho'') at r by the steps the per-profile jet fuses, each
-    on its own: the window test, the table's 12-node panel quadrature of F
-    summed from 0.0, and the bump and its derivative from one exp."""
+    on its own: the window test, F from the panel table (table_F), and the
+    bump and its derivative from one exp."""
     shift = k + 1.0 / k
     y = r - shift
     if y <= -k:
         return 0.0, 0.0, 0.0
     if y >= k:
         return 1.0, 0.0, 0.0
-    edges, cum = profiles._bump_table(k)[2:]
-    i = min(bisect_right(edges, y) - 1, len(edges) - 2)
-    a = edges[i]
-    halfw = 0.5 * (y - a)
-    midp = a + halfw
-    acc = 0.0
-    for node, w in zip(*(c.tolist() for c in leggauss(12))):
-        t = midp + halfw * node
-        u = k * k - t * t
-        if u > 0.0:
-            acc += w * math.exp(-(k * k) / u)
-    total = cum[-1]
+    total = 2.0 * table_lists(k)[1][-1]
     u = k * k - y * y
     f = math.exp(-k * k / u) if u > 0.0 else 0.0
     f1 = f * (-2.0 * k * k * y / (u * u)) if u > 0.0 else 0.0
-    return (cum[i] + halfw * acc) / total, f / total, f1 / total
+    return table_F(k, y) / total, f / total, f1 / total
 
 
 def reference_jet(profile: WarpingProfile, r: float):
