@@ -37,7 +37,6 @@ __all__ = [
     "find_generator",
     "norm_one_generator",
     "quad_ext_generator",
-    "quad_ext_order",
     "form_hyperbolic_plane",
     "form_anisotropic",
     "form_odd_dim",
@@ -202,16 +201,6 @@ class QuadExtElement:
     @property
     def is_one(self) -> bool:
         return self.a == 1 and self.b == 0
-
-
-def quad_ext_order(x: QuadExtElement, bound: int) -> Optional[int]:
-    """Least s <= bound with x^s = 1, by repeated multiplication."""
-    acc = x
-    for s in range(1, bound + 1):
-        if acc.is_one:
-            return s
-        acc = acc * x
-    return None
 
 
 def quad_ext_generator(q: int) -> QuadExtElement:

@@ -38,9 +38,7 @@ __all__ = [
     "DEFAULT_CLOSE_TOL",
     "DEFAULT_S_MAX",
     "FLAT_CURVATURE_TOL",
-    "translation_length_root",
     "apply_deck",
-    "deck_jacobian",
     "core_holonomy",
     "eigen_obstruction",
     "closing_scan",
@@ -52,20 +50,6 @@ DEFAULT_S_MAX = 10 ** 4
 FLAT_CURVATURE_TOL = 1e-10
 
 _TWO_PI = 2.0 * math.pi
-
-
-def translation_length_root(length: float) -> float:
-    """Larger root of t^2 - 2 cosh(length/2) t + 1, i.e. exp(length/2).
-
-    This is the eigenvalue of the axis block of a hyperbolic isometry whose
-    translation length along its axis is ``length``; the two roots are
-    reciprocal and coincide exactly when the length degenerates to zero.
-    """
-    if length <= 0.0:
-        raise ValueError("translation length must be positive "
-                         f"(got {length}); length 0 degenerates to the "
-                         "double root 1")
-    return math.exp(0.5 * length)
 
 
 @dataclass(frozen=True)
@@ -152,7 +136,10 @@ def apply_deck(cyl: TwistedCylinder, point, s: int) -> np.ndarray:
     """Image of a Cartesian-chart point under the s-th power of the deck map.
 
     (x, z) -> (rho^s x, z + s * length); an isometry of the warped metric
-    because the metric depends on x only through |x|.
+    because the metric depends on x only through |x|.  Only the tests read
+    it: ``TestApplyDeck`` and ``TestClosingScan`` in
+    ``tests/test_cylinder.py`` check the deck map's metric invariance and
+    the closing scan's distances against it.
     """
     coords = np.asarray(point, dtype=float)
     if coords.shape != (cyl.dim,):
@@ -162,15 +149,6 @@ def apply_deck(cyl: TwistedCylinder, point, s: int) -> np.ndarray:
     out = np.empty_like(coords)
     out[:-1] = cyl.rho.apply(coords[:-1], power=float(s))
     out[-1] = coords[-1] + s * cyl.length
-    return out
-
-
-def deck_jacobian(cyl: TwistedCylinder, s: int) -> np.ndarray:
-    """Differential of the s-th deck power (constant in the chart)."""
-    d = cyl.dim
-    out = np.zeros((d, d))
-    out[:-1, :-1] = cyl.rho.matrix(power=float(s))
-    out[-1, -1] = 1.0
     return out
 
 

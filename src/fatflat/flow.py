@@ -16,10 +16,11 @@ is :func:`fatflat.geometry.axis_coefficient_jets`; on the profile's flat
 piece the chart is Euclidean, its connection vanishes, that jet is the one
 object ``_FLAT_COEFFS``, and a stage there returns zero rates without
 calling the form.  The comparison operator's curvature term M is built in
-closed form and in plain floats from one radial jet per stage: the
-profile's four principal ratios times Gram matrices of the frame's adapted
-components, grouped as in :func:`fatflat.geometry.curvature_numerator`;
-only U U is a numpy product.
+closed form and in plain floats from one radial jet per stage by one
+curvature form per chart kind: the profile's four principal ratios times
+Gram matrices of the frame's adapted components, grouped as in
+:func:`fatflat.geometry.curvature_numerator`.  U U is summed in plain
+floats too, so no step of a Riccati stage goes through numpy.
 
 Every metric inner product g(a, b) is the dot product of the adapted parts
 of a and b (see :func:`fatflat.geometry.adapted_components_raw`), with
@@ -588,31 +589,71 @@ def _adapted_parts(chart: MetricChart, rows: int) -> Callable:
     return parts
 
 
-def _curvature_term(ratios, parts) -> list:
-    """M[i, j] = R(w_i, v, w_j, v), row-major, from the adapted parts
-    [v, w_1, ..., w_m] in plain floats: the sum k1 P1 + k2 (vv S - a a^T)
-    + k3 P3 + k4 P4 of :func:`geometry.curvature_numerator`, grouped as it
-    groups it, each of its matrix products a dot product from 0.0."""
-    k1, k2, k3, k4 = ratios
-    (vr, *vs, vz), rows = parts[0], parts[1:]
-    vv = _dot(vs, vs)
-    ws, p1, a, p3, p4 = [], [], [], [], []
-    for wr, *w, wz in rows:
-        ws.append(w)
-        p1.append([wr * e - vr * f for e, f in zip(vs, w)])
-        a.append(_dot(w, vs))
-        p3.append(wr * vz - vr * wz)
-        p4.append([wz * e - vz * f for e, f in zip(vs, w)])
-    m = len(rows)
-    out = [0.0] * (m * m)
-    for i in range(m):  # M is symmetric: each product commutes
-        for j in range(i, m):
-            out[i * m + j] = out[j * m + i] = (
-                k1 * _dot(p1[i], p1[j])
-                + k2 * (vv * _dot(ws[i], ws[j]) - a[i] * a[j])
-                + k3 * (p3[i] * p3[j])
-                + k4 * _dot(p4[i], p4[j]))
-    return out
+def _curvature(chart: MetricChart, m: int) -> Callable:
+    """curvature(y, r, jet, ratios): M[i, j] = R(w_i, v, w_j, v), row-major,
+    for the velocity v and the ``m`` frame rows w_i after the position in
+    the flat state y, in plain floats: the sum k1 P1 + k2 (vv S - a a^T)
+    + k3 P3 + k4 P4 of :func:`geometry.curvature_numerator` in their adapted
+    parts, grouped as it groups it, each of its matrix products a dot
+    product from 0.0.  On polar n = 1 each such product has one term, and
+    the form is written out in scalars: the 0.0 start stays where it turns
+    a -0.0 product into +0.0, and a square, never -0.0, goes without it."""
+    if chart.kind == POLAR and chart.block_dim == 2:
+        def curvature(y, r, jet, ratios):
+            k1, k2, k3, k4 = ratios
+            sigma, tau = jet[0], jet[3]
+            vr, vs, vz = y[3], y[4] * sigma, y[5] * tau
+            ar, as_, az = y[6], y[7] * sigma, y[8] * tau
+            br, bs, bz = y[9], y[10] * sigma, y[11] * tau
+            pa, pb = ar * vs - vr * as_, br * vs - vr * bs
+            ca, cb = 0.0 + as_ * vs, 0.0 + bs * vs
+            qa, qb = ar * vz - vr * az, br * vz - vr * bz
+            sa, sb = az * vs - vz * as_, bz * vs - vz * bs
+            vv = vs * vs
+            ab = (k1 * (0.0 + pa * pb) + k2 * (vv * (0.0 + as_ * bs) - ca * cb)
+                  + k3 * (qa * qb) + k4 * (0.0 + sa * sb))
+            return [k1 * (pa * pa) + k2 * (vv * (as_ * as_) - ca * ca)
+                    + k3 * (qa * qa) + k4 * (sa * sa), ab, ab,
+                    k1 * (pb * pb) + k2 * (vv * (bs * bs) - cb * cb)
+                    + k3 * (qb * qb) + k4 * (sb * sb)]
+
+        return curvature
+
+    adapted_parts = _adapted_parts(chart, m + 1)
+
+    def curvature(y, r, jet, ratios):
+        k1, k2, k3, k4 = ratios
+        (vr, *vs, vz), *rows = adapted_parts(y, r, jet[0], jet[3])
+        vv = _dot(vs, vs)
+        ws, p1, a, p3, p4 = [], [], [], [], []
+        for wr, *w, wz in rows:
+            ws.append(w)
+            p1.append([wr * e - vr * f for e, f in zip(vs, w)])
+            a.append(_dot(w, vs))
+            p3.append(wr * vz - vr * wz)
+            p4.append([wz * e - vz * f for e, f in zip(vs, w)])
+        out = [0.0] * (m * m)
+        for i in range(m):  # M is symmetric: each product commutes
+            for j in range(i, m):
+                out[i * m + j] = out[j * m + i] = (
+                    k1 * _dot(p1[i], p1[j])
+                    + k2 * (vv * _dot(ws[i], ws[j]) - a[i] * a[j])
+                    + k3 * (p3[i] * p3[j])
+                    + k4 * _dot(p4[i], p4[j]))
+        return out
+
+    return curvature
+
+
+def _square(u: Sequence[float], m: int) -> list:
+    """U U of the m x m matrix ``u`` held row-major, in plain floats, each
+    entry a left-to-right sum from 0.0; a 2 x 2 ``u`` is written out."""
+    if m == 2:
+        a, b, c, d = u
+        return [a * a + b * c, 0.0 + a * b + b * d,
+                0.0 + c * a + d * c, c * b + d * d]
+    return [_dot(u[i:i + m], u[j::m]) for i in range(0, m * m, m)
+            for j in range(m)]
 
 
 def riccati_expansion(path: GeodesicPath, c0: float = 1.0) -> RiccatiResult:
@@ -625,11 +666,12 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0) -> RiccatiResult:
     of the velocity's normal space, built in closed form at each stage from
     one radial jet: each principal curvature ratio times the Gram matrix of
     the frame's shadows on its coordinate 2-plane.  U rides in the flat
-    float state after the frame rows; only U U is a numpy product.  Raises
-    :class:`RiccatiBlowupError` as soon as an eigenvalue of U exceeds the
-    reciprocal step, after which the fixed-step scheme cannot resolve the
-    solution any further, and :class:`ChartExitError` when the orbit leaves
-    its chart or stops being finite.
+    float state after the frame rows, and U U is summed in plain floats:
+    no step of a stage goes through numpy, so no BLAS kernel rounds M or
+    U U.  Raises :class:`RiccatiBlowupError` as soon as an eigenvalue of U
+    exceeds the reciprocal step, after which the fixed-step scheme cannot
+    resolve the solution any further, and :class:`ChartExitError` when the
+    orbit leaves its chart or stops being finite.
     """
     chart = path.chart
     state = path.state(0)
@@ -646,7 +688,7 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0) -> RiccatiResult:
     mm = m * m
     diag = range(0, mm, m + 1)
     flat_rates = _flat_rates(chart, m)
-    adapted_parts = _adapted_parts(chart, m + 1)
+    curvature_of = _curvature(chart, m)
     u = (c0 * np.eye(m)).ravel().tolist()
     jet_ratios = profile.jet_ratios
 
@@ -665,12 +707,9 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0) -> RiccatiResult:
             raise _overflow_error(r) from None
         curvature = repeat(0.0)  # M vanishes wherever every ratio does
         if any(ratios):
-            curvature = _curvature_term(
-                ratios, adapted_parts(y, r, jet[0], jet[3]))
-        u_mat = np.array(y[-mm:]).reshape(m, m)
-        uu = (u_mat @ u_mat).ravel().tolist()
+            curvature = curvature_of(y, r, jet, ratios)
         return flat_rates(y, connection) + [
-            -s - c for s, c in zip(uu, curvature)]
+            -s - c for s, c in zip(_square(y[-mm:], m), curvature)]
 
     max_eig_allowed = 1.0 / h
     rec_times = [0.0]
@@ -702,10 +741,9 @@ def riccati_expansion(path: GeodesicPath, c0: float = 1.0) -> RiccatiResult:
             rec_traces.append(reduce(add, (u[k] for k in diag), 0.0))
 
     # a stage's U that is not finite (its curvature term overflowed) is
-    # reported by a later stage's radius or by after(), not by U U's warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _rk4(rhs, state.position.tolist() + state.velocity.tolist()
-                 + frame.ravel().tolist() + u, n_steps, h, before, after)
+    # reported by a later stage's radius or by after()
+    y = _rk4(rhs, state.position.tolist() + state.velocity.tolist()
+             + frame.ravel().tolist() + u, n_steps, h, before, after)
     pos, vel = y[:dim], y[dim:2 * dim]
     guard(n_steps, pos, vel)
     return RiccatiResult(np.array(y[-mm:]).reshape(m, m), np.array(rec_times),

@@ -412,11 +412,6 @@ def metric_tensor(point: ChartPoint) -> np.ndarray:
     return _metric_jets(point.chart, point.coords, 0)[0]
 
 
-def metric_inverse(point: ChartPoint) -> np.ndarray:
-    g = _metric_jets(point.chart, point.coords, 0)[0]
-    return _metric_inverse_raw(point.chart, point.coords, g)
-
-
 def _gamma_from_jets(dg: np.ndarray, ginv: np.ndarray):
     # (Gamma, C) with C[m, j, k] = d_j g_mk + d_k g_mj - d_m g_jk
     c = (np.einsum("jmk->mjk", dg) + np.einsum("kmj->mjk", dg) - dg)

@@ -23,12 +23,22 @@ from fatflat.arith import (
     is_prime,
     norm_one_generator,
     prime_factors,
-    quad_ext_order,
     smallest_nonresidue,
     so_block_element,
 )
 
 TESTED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def quad_ext_order(x, bound):
+    """Oracle: the least s <= bound with x^s = 1, by repeated
+    multiplication."""
+    acc = x
+    for s in range(1, bound + 1):
+        if acc.is_one:
+            return s
+        acc = acc * x
+    return None
 
 
 def multiplicative_order(g, q):

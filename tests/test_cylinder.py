@@ -12,10 +12,8 @@ from fatflat.cylinder import (
     apply_deck,
     closing_scan,
     core_holonomy,
-    deck_jacobian,
     eigen_obstruction,
     singular_membership,
-    translation_length_root,
 )
 from fatflat.flow import PhaseState
 from fatflat.profiles import WarpingProfile
@@ -44,6 +42,28 @@ def make_cylinder(profile, angles=(1.0,), length=1.0):
 def rotation_matrix(angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
+
+
+def translation_length_root(length: float) -> float:
+    """Oracle: the larger root of t^2 - 2 cosh(length/2) t + 1, i.e.
+    exp(length/2), the eigenvalue of the axis block of a hyperbolic
+    isometry whose translation length along its axis is ``length``; the
+    two roots are reciprocal and coincide exactly at length zero."""
+    if length <= 0.0:
+        raise ValueError("translation length must be positive "
+                         f"(got {length}); length 0 degenerates to the "
+                         "double root 1")
+    return math.exp(0.5 * length)
+
+
+def deck_jacobian(cyl, s: int) -> np.ndarray:
+    """Oracle: the differential of the s-th deck power (constant in the
+    Cartesian chart)."""
+    d = cyl.dim
+    out = np.zeros((d, d))
+    out[:-1, :-1] = cyl.rho.matrix(power=float(s))
+    out[-1, -1] = 1.0
+    return out
 
 
 class TestTranslationLengthRoot:

@@ -667,10 +667,11 @@ class TestCurvatureTerm:
     @pytest.mark.parametrize("variant", ["flat_profile", "hyperbolic_profile",
                                          "ramp19"])
     def test_float_term_matches_curvature_numerator(self, request, variant):
-        # the Riccati stage's plain-float M against the array route of
-        # geometry.curvature_numerator: bit for bit on polar n = 1, where
-        # each matrix product has one term, and elsewhere on the
-        # Cauchy-Schwarz scale sum |k| |w_i| |w_j| |v|^2 of each entry
+        # the Riccati stage's plain-float M, from each chart's curvature
+        # form, against the array route of geometry.curvature_numerator:
+        # bit for bit on polar n = 1, where each matrix product has one
+        # term, and elsewhere on the Cauchy-Schwarz scale
+        # sum |k| |w_i| |w_j| |v|^2 of each entry
         profile = request.getfixturevalue(variant)
         rng = np.random.default_rng(41)
         charts = [MetricChart.polar(profile, 1),
@@ -681,7 +682,7 @@ class TestCurvatureTerm:
         for chart in charts:
             d, m = chart.block_dim, chart.dim - 1
             polar = chart.kind == geometry.POLAR
-            parts = flow._adapted_parts(chart, m + 1)
+            curvature = flow._curvature(chart, m)
             radii = np.exp(rng.uniform(math.log(1e-3), math.log(40.0), 100))
             # the Cartesian chart's axis and its isotropic R_MIN ball too
             for r in [*radii] if polar else [0.0, 5e-9, *radii]:
@@ -691,8 +692,7 @@ class TestCurvatureTerm:
                 y = pos.tolist() + vecs.ravel().tolist()
                 r = y[0] if polar else math.sqrt(flow._dot(y[:d], y[:d]))
                 jet, ratios = profile.jet_ratios(r)
-                got = flow._curvature_term(ratios,
-                                           parts(y, r, jet[0], jet[3]))
+                got = curvature(y, r, jet, ratios)
                 a = geometry.adapted_components_raw(chart, pos, vecs,
                                                     jet[0], jet[3])
                 want = geometry.curvature_numerator(ratios, a[1:], a[0])
@@ -706,6 +706,47 @@ class TestCurvatureTerm:
                          * np.outer(norms[1:], norms[1:]))
                 assert_close(np.reshape(got, (m, m)), want,
                              abs_tol=1e-13 * scale)
+
+    def test_polar_form_keeps_the_zero_sign_of_an_underflowed_cross_term(
+            self, hyperbolic_profile):
+        # every ratio is -1 and every term of M[0, 1] is a zero, so the
+        # entry's sign is the k2 term's: w_1's sphere part times v's
+        # underflows to -0.0, which the 0.0 start of a = w . v turns into
+        # +0.0, and vv (a * b) underflows to -0.0
+        chart = MetricChart.polar(hyperbolic_profile, 1)
+        jet, ratios = hyperbolic_profile.jet_ratios(3.0)
+        assert ratios == (-1.0, -1.0, -1.0, -1.0)
+        y = [3.0, 0.5, 0.1]
+        for sphere in (1e-200, -1e-200, 1e100):
+            y += [0.0, sphere / jet[0], 0.0]
+        a = geometry.adapted_components_raw(
+            chart, np.array(y[:3]), np.reshape(y[3:], (3, 3)), jet[0], jet[3])
+        want = geometry.curvature_numerator(ratios, a[1:], a[0]).ravel()
+        got = flow._curvature(chart, 2)(y, 3.0, jet, ratios)
+        assert got == want.tolist()
+        assert hexes(got[:3]) == hexes(want[:3]) == [
+            "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_square_is_the_left_to_right_sums(self, m):
+        # U U entry by entry as sum_k u[i, k] u[k, j] from 0.0, on a
+        # non-symmetric matrix; the 2 x 2 one has off-diagonal products
+        # that are both -0.0, which the 0.0 start turns into +0.0
+        u = np.random.default_rng(43).standard_normal((m, m))
+        if m == 2:
+            u = np.array([[-0.0, 1.5], [2.25, -0.0]])
+        want = []
+        for i in range(m):
+            for j in range(m):
+                s = 0.0
+                for k in range(m):
+                    s += float(u[i, k]) * float(u[k, j])
+                want.append(s)
+        got = flow._square(u.ravel().tolist(), m)
+        assert hexes(got) == hexes(want)
+        if m == 2:
+            assert hexes(got) == ["0x1.b000000000000p+1", "0x0.0p+0",
+                                  "0x0.0p+0", "0x1.b000000000000p+1"]
 
 
 # ---------------------------------------------------------------------------
@@ -917,6 +958,34 @@ class TestComparisonOperator:
                                        record_every=10 ** 9)
         result = flow.riccati_expansion(path, c0=1.0)
         assert_close(result.u_final, np.eye(2), abs_tol=1e-6)
+
+    @pytest.mark.parametrize("chart_name", ["polar_19", "cartesian_19"])
+    def test_stage_builds_no_array(self, request, monkeypatch, chart_name):
+        # the stage runs in plain floats: numpy arrays are built only once
+        # per call, for the start frame and the result, so 50 and 500 steps
+        # build the same number of them
+        chart = request.getfixturevalue(chart_name)
+        start = [2.0, 0.3, 0.1]
+        if chart.kind == geometry.CARTESIAN:
+            start = [2.0 * math.cos(0.3), 2.0 * math.sin(0.3), 0.1]
+        state = unit_state(chart, start, [0.4, 0.25, 0.55])
+        paths = [flow.integrate_geodesic(chart, state, steps * 1e-3,
+                                         record_every=10 ** 9)
+                 for steps in (50, 500)]
+        counts = []
+        for path in paths:
+            calls = []
+            array = flow.np.array
+
+            def counting(*args, **kwargs):
+                calls.append(1)
+                return array(*args, **kwargs)
+
+            monkeypatch.setattr(flow.np, "array", counting)
+            flow.riccati_expansion(path)
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_crossing_orbit_trace_frozen(self, polar_19):
         state = PhaseState(np.array([36.0, 0.0, 0.0]),

@@ -180,6 +180,22 @@ def test_profiles_forms_no_matrix_product():
     assert matrix_products(source) == []
 
 
+def test_riccati_stage_forms_no_matrix_product():
+    # numpy sends even a 2 x 2 U U to BLAS, and OpenBLAS picks its kernel
+    # for the CPU at load time: Haswell's and later ones round a sum of
+    # products through fused multiply-adds and Nehalem's does not, so the
+    # last bits of U would depend on the machine; M and U U take plain
+    # float sums and products only
+    source = (SRC / "flow.py").read_text(encoding="utf-8")
+    stage = [ast.get_source_segment(source, node)
+             for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef) and node.name in {
+                 "riccati_expansion", "_curvature", "_adapted_parts",
+                 "_square"}]
+    assert len(stage) == 4
+    assert [matrix_products(segment) for segment in stage] == [[]] * 4
+
+
 def math_calls(function, *args) -> dict[str, int]:
     """{name: count} of the math module's functions that function(*args)
     calls, from the interpreter's profile events for C calls."""
