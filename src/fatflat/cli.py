@@ -365,7 +365,8 @@ def _run_verify_curvature(cfg: Mapping[str, object]) -> list[CheckResult]:
         scale = max(1.0, max(abs(v) for v in comps.as_tuple()))
         for name, idx in _COMPONENT_INDICES:
             rel = abs(float(fd[idx]) - getattr(comps, name)) / scale
-            if rel > worst_rel:
+            # a NaN counts as worse than every number, and the first stays
+            if not rel <= worst_rel and not math.isnan(worst_rel):
                 worst_rel = rel
                 worst_loc = (f"{name}@r={_format_float(r)},"
                              f"theta={_format_float(th)}")

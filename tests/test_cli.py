@@ -204,6 +204,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: --{flag}: expected an integer >= 1, got '{value}'\n")
 
+
+class TestFiniteDifferenceCheck:
+    def test_nan_entry_fails_and_is_located(self, monkeypatch):
+        # one NaN R_(phi theta phi theta) at the second of three points;
+        # the points before and after it compare as finite numbers
+        real, calls = cli.geometry.riemann_fd, []
+
+        def riemann_fd(point):
+            rie = real(point)
+            calls.append(point)
+            if len(calls) == 2:
+                rie[2, 1, 2, 1] = math.nan
+            return rie
+
+        monkeypatch.setattr(cli.geometry, "riemann_fd", riemann_fd)
+        cfg = {option.name: option.default
+               for option in cli._VERIFY_CURVATURE_OPTS}
+        cfg.update({"samples": 20, "grid": 16, "fd-samples": 3})
+        check, = [c for c in cli._run_verify_curvature(cfg)
+                  if c.name == "geometry.closed_form_matches_finite_difference"]
+        assert len(calls) == 3
+        assert not check.passed
+        assert math.isnan(check.worst_value)
+        r, theta = calls[1].coords[:2]
+        assert check.location == (f"phi_theta@r={cli._format_float(r)},"
+                                  f"theta={cli._format_float(theta)}")
+
+
 class TestReportSchema:
     def test_verify_profile_report_fields(self, tmp_path, capsys):
         code, out = run_to_file(tmp_path, "report.json",

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatflat import geometry
+from fatflat import flow, geometry
 from fatflat.geometry import (ChartDomainError, DegeneratePlaneError,
                               MetricChart)
+from fatflat.profiles import WarpingProfile
 
 from conftest import assert_close, sample_stream
 
@@ -23,6 +24,30 @@ def metric_inverse(point):
     forms it from the metric."""
     g = geometry._metric_jets(point.chart, point.coords, 0)[0]
     return geometry._metric_inverse_raw(point.chart, point.coords, g)
+
+
+def dense_christoffel(point):
+    """Oracle: Gamma of a polar chart by the dense route, three einsums over
+    the full metric jets, whose non-finite products numpy may warn about."""
+    chart, coords = point.chart, point.coords
+    with np.errstate(all="ignore"):
+        g, dg = geometry._diag_metric_jets(chart, coords, 1)
+        return geometry._gamma_from_jets(
+            dg, geometry._metric_inverse_raw(chart, coords, g))[0]
+
+
+DIAGONAL_PROFILES = {
+    "k19": WarpingProfile.interpolated(19.0),
+    "k1": WarpingProfile.interpolated(1.0),
+    "hyperbolic": WarpingProfile.hyperbolic(),
+    "flat": WarpingProfile.flat(),
+}
+DIAGONAL_CHARTS = {
+    "polar1": lambda p: MetricChart.polar(p, 1),
+    "polar2": lambda p: MetricChart.polar(p, 2),
+    "polar3": lambda p: MetricChart.polar(p, 3),
+    "four_d": MetricChart.four_d_model,
+}
 
 # six curvature components at (r=19.5, theta=0.7) for the k=19 profile,
 # in field order (theta_r, phi_r, z_r, phi_theta, theta_z, phi_z)
@@ -235,6 +260,66 @@ class TestChristoffel:
         scale = max(1.0, float(np.max(np.abs(gamma))))
         assert_close(fd_gamma, gamma, abs_tol=1e-6 * scale)
 
+    @settings(max_examples=300, deadline=None)
+    @given(profile=st.sampled_from(sorted(DIAGONAL_PROFILES)),
+           kind=st.sampled_from(sorted(DIAGONAL_CHARTS)),
+           r=st.floats(1e-3, 300.0),
+           angles=st.lists(st.floats(0.0, math.pi, exclude_min=True,
+                                     exclude_max=True), min_size=4,
+                           max_size=4),
+           last=st.floats(0.0, 2 * math.pi), z=st.floats(-5.0, 5.0))
+    def test_diagonal_route_is_the_dense_route(self, profile, kind, r,
+                                               angles, last, z):
+        chart = DIAGONAL_CHARTS[kind](DIAGONAL_PROFILES[profile])
+        point = chart.point([r, *angles[:chart.block_dim - 2], last, z])
+        gamma, dense = geometry.christoffel(point), dense_christoffel(point)
+        if np.isfinite(dense).all():
+            # bytes, so the sign of every zero counts too
+            assert gamma.tobytes() == dense.tobytes()
+        else:  # an angle so close to a pole that sin^2 underflows
+            assert not np.isfinite(gamma).all()
+
+    @pytest.mark.parametrize("kind", sorted(DIAGONAL_CHARTS))
+    @pytest.mark.parametrize("r", [354.0, 356.0, 400.0, 709.0])
+    def test_diagonal_route_overflows_where_the_dense_route_does(
+            self, hyperbolic_profile, kind, r):
+        # sigma^2 leaves double range at r ~ 355 on the hyperbolic piece
+        chart = DIAGONAL_CHARTS[kind](hyperbolic_profile)
+        for theta in (0.3, math.pi / 2, 3.0):
+            point = chart.point([r] + [theta] * (chart.block_dim - 2)
+                                + [0.7, 0.1])
+            gamma = geometry.christoffel(point)
+            dense = dense_christoffel(point)
+            assert np.isfinite(gamma).all() == np.isfinite(dense).all() == (
+                r < 355.0)
+            if r < 355.0:
+                assert gamma.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("kind", ["polar2", "four_d"])
+    @pytest.mark.parametrize("run", ["geodesic", "transport"])
+    def test_flow_stops_where_the_dense_route_stops(
+            self, hyperbolic_profile, monkeypatch, kind, run):
+        # an outward radial orbit from r = 354 reaches the radius where the
+        # metric scales overflow at the same stage node on either route
+        chart = DIAGONAL_CHARTS[kind](hyperbolic_profile)
+        start = np.full(chart.dim, 1.0)
+        start[0], start[-1] = 354.0, 0.0
+        outward = np.eye(chart.dim)[0]
+        path = flow.GeodesicPath(chart, 1e-3, np.array([0.0, 5.0]),
+                                 np.array([start, start]),
+                                 np.array([outward, outward]))
+        calls = {
+            "geodesic": lambda: flow.integrate_geodesic(
+                chart, flow.PhaseState(start, outward), 5.0),
+            "transport": lambda: flow.parallel_transport(path, [outward]),
+        }
+        with pytest.raises(ChartDomainError, match="at r = 35") as err:
+            calls[run]()
+        monkeypatch.setattr(flow, "christoffel", dense_christoffel)
+        with pytest.raises(ChartDomainError) as dense_err:
+            calls[run]()
+        assert str(err.value) == str(dense_err.value)
+
 
 # ---------------------------------------------------------------------------
 # curvature tensor
@@ -267,6 +352,31 @@ class TestRiemannTensor:
         for name, idx in COMPONENT_INDEX.items():
             expected = getattr(closed, name)
             assert rie_fd[idx] == pytest.approx(expected, rel=1e-5), name
+
+    @pytest.mark.parametrize("theta", [3e-5, 1e-5, math.pi - 3e-5])
+    def test_stencil_past_a_pole_is_a_typed_error(self, four_d_19, theta):
+        # h = 2e-5 at r = 2, so the stencil reaches theta -/+ 2h outside
+        # (0, pi); evaluated there anyway, R_(phi theta phi theta) read
+        # +7.32 at theta = 3e-5 and -5.69 at 1e-5 against a closed form of
+        # -1.2e-11 and -1.4e-12
+        with pytest.raises(ChartDomainError, match="stencil of step h = 2"):
+            geometry.riemann_fd(four_d_19.point([2.0, theta, 0.5, 0.0]))
+
+    @pytest.mark.parametrize("builder", ["polar1", "four_d"])
+    def test_stencil_past_the_axis_is_a_typed_error(self, ramp19, builder):
+        # h = 1e-5 at r = 1.5e-5, so r - 2h < 0, where the profile's own
+        # ValueError once came out of the call
+        chart = DIAGONAL_CHARTS[builder](ramp19)
+        point = chart.point([1.5e-5] + [1.0] * (chart.dim - 1))
+        with pytest.raises(ChartDomainError, match="stencil of step h = 1"):
+            geometry.riemann_fd(point)
+
+    @pytest.mark.parametrize("coords", [(2.0, 4.1e-5, 0.5, 0.0),
+                                        (2.0, math.pi - 4.1e-5, 0.5, 0.0),
+                                        (3e-5, 1.0, 0.5, 0.0)])
+    def test_stencil_just_inside_the_chart_runs(self, four_d_19, coords):
+        rie = geometry.riemann_fd(four_d_19.point(list(coords)))
+        assert np.isfinite(rie).all()
 
     @pytest.mark.parametrize("builder,coords", [
         ("four_d_ramp", (2.0, 0.9, 1.3, 0.4)),

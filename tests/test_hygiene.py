@@ -196,6 +196,44 @@ def test_riccati_stage_forms_no_matrix_product():
     assert [matrix_products(segment) for segment in stage] == [[]] * 4
 
 
+def test_diagonal_christoffel_forms_no_matrix_product(monkeypatch):
+    # a polar chart's Gamma has three nonzero entries per nonzero
+    # d_k g_ii, each a plain float product; riemann_fd takes Gamma at the
+    # point and at four stencil points per coordinate, each through the
+    # module's name, where a tracer wrapping geometry.christoffel counts it
+    np = importlib.import_module("numpy")
+    geometry = importlib.import_module("fatflat.geometry")
+    profile = importlib.import_module("fatflat.profiles").WarpingProfile
+    products = []
+    for name in ("einsum", "matmul"):
+        def counted(*args, _real=getattr(np, name), _name=name, **kwargs):
+            products.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    ramp = profile.interpolated(19.0)
+    charts = [geometry.MetricChart.polar(ramp, n) for n in (1, 2, 3)]
+    charts.append(geometry.MetricChart.four_d_model(ramp))
+    for chart in charts:
+        geometry.christoffel(chart.point([12.0] + [1.0] * (chart.dim - 1)))
+    assert products == []
+    source = (SRC / "geometry.py").read_text(encoding="utf-8")
+    route = [ast.get_source_segment(source, node)
+             for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)
+             and node.name in {"_diag_christoffel", "_diag_factor_jets"}]
+    assert [matrix_products(segment) for segment in route] == [[], []]
+
+    christoffel, points = geometry.christoffel, []
+
+    def traced(point):
+        points.append(point)
+        return christoffel(point)
+
+    monkeypatch.setattr(geometry, "christoffel", traced)
+    geometry.riemann_fd(charts[-1].point([12.0, 1.0, 0.5, 0.0]))
+    assert len(points) == 17
+
+
 def math_calls(function, *args) -> dict[str, int]:
     """{name: count} of the math module's functions that function(*args)
     calls, from the interpreter's profile events for C calls."""
