@@ -457,8 +457,10 @@ def _run_holonomy(cfg: Mapping[str, object]) -> list[CheckResult]:
     cyl = _cylinder_from(cfg)
     hol = cylinder.core_holonomy(cyl, step=float(cfg["step"]))
     expected = cyl.rho.matrix()
-    diff = float(np.linalg.norm(hol - expected))
-    defect = float(np.linalg.norm(hol.T @ hol - np.eye(hol.shape[0])))
+    diff = math.hypot(*(hol - expected).ravel().tolist())
+    cols = hol.T.tolist()  # H^T H - I in plain float sums, not by BLAS
+    defect = math.hypot(*(math.fsum(p * q for p, q in zip(a, b)) - (a is b)
+                          for a in cols for b in cols))
     angle_text = ",".join(_format_float(a) for a in cyl.rho.angles)
     return [
         CheckResult(

@@ -22,9 +22,10 @@ Gram matrices of the frame's adapted components, grouped as in
 :func:`fatflat.geometry.curvature_numerator`.  U U is summed in plain
 floats too, so no step of a Riccati stage goes through numpy.
 
-Every metric inner product g(a, b) is the dot product of the adapted parts
-of a and b (see :func:`fatflat.geometry.adapted_components_raw`), with
-sigma and tau from the scalar radial jet; no metric matrix is formed.
+Every metric inner product g(a, b) is the plain-float dot product, from 0.0
+left to right, of the adapted parts of a and b as :func:`_adapted_parts`
+forms them, with sigma and tau from the scalar radial jet: no metric matrix
+is formed, and no BLAS kernel rounds an inner product.
 
 Chart policy: the Cartesian chart is regular across the axis and is the
 right place to integrate whenever an orbit may approach radius zero; the
@@ -43,8 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
-from operator import add
+from itertools import chain, repeat
+from operator import add, mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,7 +58,6 @@ from .geometry import (
     MetricChart,
     NonFiniteRadiusError,
     _FLAT_COEFFS,
-    _adapted_vectors,
     _overflow_error,
     axis_coefficient_jets,
     axis_jet_ratios,
@@ -197,21 +197,34 @@ class RiccatiResult:
 # metric evaluation helpers
 
 
+def _scales(chart: MetricChart, pos) -> Tuple[float, float, float]:
+    """(r, sigma, tau) at pos[:dim] from one radial jet."""
+    r = (math.sqrt(_dot(x := pos[:chart.block_dim], x))
+         if chart.kind == CARTESIAN else pos[0])
+    try:
+        jet, _ = chart.profile.jet_ratios(r)
+        return r, jet[0], jet[3]
+    except OverflowError:  # sinh, cosh past r ~ 710
+        raise _overflow_error(r) from None
+
+
 def _gram(chart: MetricChart, positions, vectors) -> np.ndarray:
     """Gram matrices g(v_i, v_j) of the stacks ``vectors`` (N, m, dim) at
-    ``positions`` (N, dim): products of the vectors' adapted parts (one
+    ``positions`` (N, dim): dot products of the vectors' adapted parts (one
     scalar radial jet per point), each a (warp * rate) product squared only
     afterwards, so that a large warp factor times a small rate stays an
     ordinary number.  Raises :class:`ChartDomainError` at the first point
     whose Gram is not finite."""
-    a, _, radii, _ = _adapted_vectors(
-        chart, np.asarray(positions, dtype=float), vectors)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = a @ a.mT
-    bad = np.flatnonzero(~np.isfinite(gram).all(axis=(-2, -1)))
-    if bad.size:
-        raise _overflow_error(radii[bad[0]])
-    return gram
+    vectors = np.asarray(vectors, dtype=float)
+    n, m, dim = vectors.shape
+    parts_of, grams = _adapted_parts(chart, m), []
+    for y in np.hstack([positions, vectors.reshape(n, m * dim)]).tolist():
+        r, sigma, tau = _scales(chart, y)
+        parts = parts_of(y, r, sigma, tau)
+        grams += [_dot(a, b) for a in parts for b in parts]
+        if not all(map(math.isfinite, grams[-m * m:])):
+            raise _overflow_error(r)
+    return np.array(grams).reshape(n, m, m)
 
 
 def kinetic_energy(chart: MetricChart, position, velocity) -> float:
@@ -513,38 +526,37 @@ def parallel_transport(path: GeodesicPath,
 def _normal_frame(chart: MetricChart, position: np.ndarray,
                   velocity: np.ndarray) -> np.ndarray:
     """Metric-orthonormal basis of the normal space of ``velocity``:
-    Gram-Schmidt of the coordinate basis, each vector beside its adapted
-    parts (g as :func:`_gram` forms it), each candidate scaled by its largest
-    part, so that no squared warp factor is formed."""
+    Gram-Schmidt in plain floats of the coordinate basis, each vector beside
+    its adapted parts (g as :func:`_gram` forms it), each candidate scaled
+    by its largest part, so that no squared warp factor is formed."""
     dim = chart.dim
-    vecs = np.vstack([velocity, np.eye(dim)])
-    parts, _, (r,), _ = _adapted_vectors(
-        chart, np.asarray(position, dtype=float)[None], vecs[None])
-    if not np.isfinite(parts).all():
+    y = np.concatenate([position, velocity, np.eye(dim).ravel()]).tolist()
+    r, sigma, tau = _scales(chart, y)
+    parts = _adapted_parts(chart, dim + 1)(y, r, sigma, tau)
+    if not all(map(math.isfinite, chain(*parts))):
         raise _overflow_error(r)
-    rows = np.hstack([vecs, parts[0]])
-    # a velocity too fast for g(v, v) is left to the integrators' checks; a
-    # candidate with no parts (sigma = 0) reads NaN and is skipped
-    with np.errstate(all="ignore"):
-        vnorm = float(rows[0, dim:] @ rows[0, dim:])
-        if not vnorm > 0.0:
-            raise ValueError("velocity must be nonzero")
-        basis = [rows[0] / math.sqrt(vnorm)]
-        for cand in rows[1:]:
-            cand = cand / np.max(np.abs(cand[dim:]))
-            # relative: a candidate in the span leaves about |parts|^2 eps^2
-            floor = 1e-12 * float(cand[dim:] @ cand[dim:])
-            for b in basis:
-                cand = cand - float(cand[dim:] @ b[dim:]) * b
-            nrm = float(cand[dim:] @ cand[dim:])
-            if nrm > floor:
-                basis.append(cand / math.sqrt(nrm))
-            if len(basis) == dim:
-                break
+    rows = [y[k:k + dim] + p for k, p in zip(range(dim, len(y), dim), parts)]
+    # a velocity too fast for g(v, v) is left to the integrators' checks
+    if not (vnorm := _dot(parts[0], parts[0])) > 0.0:
+        raise ValueError("velocity must be nonzero")
+    basis = [[e / math.sqrt(vnorm) for e in rows[0]]]
+    for cand in rows[1:]:
+        if (big := max(map(abs, cand[dim:]))) == 0.0:  # no parts: sigma = 0
+            continue
+        cand = [e / big for e in cand]
+        # relative: a candidate in the span leaves about |parts|^2 eps^2
+        floor = 1e-12 * _dot(cand[dim:], cand[dim:])
+        for b in basis:
+            s = _dot(cand[dim:], b[dim:])
+            cand = [c - s * e for c, e in zip(cand, b)]
+        if (nrm := _dot(cand[dim:], cand[dim:])) > floor:
+            basis.append([e / math.sqrt(nrm) for e in cand])
+        if len(basis) == dim:
+            break
     if len(basis) != dim:
         raise ChartDomainError(f"no normal frame at r = {r:.17g}: the "
                                "coordinate basis does not resolve it there")
-    return np.array(basis[1:])[:, :dim]
+    return np.array([b[:dim] for b in basis[1:]])
 
 
 def _adapted_parts(chart: MetricChart, rows: int) -> Callable:
@@ -572,19 +584,11 @@ def _adapted_parts(chart: MetricChart, rows: int) -> Callable:
 
     def parts(y, r, sigma, tau):
         sines = [math.sin(a) for a in y[1:d - 1]]
-        out = []
-        for k in starts:
-            row = [y[k]]
-            for i in range(d - 1):
-                # the part along a_(i+1) is (v_(i+1) sigma) sin a_1 ... sin
-                # a_i, multiplied left to right
-                part = y[k + 1 + i] * sigma
-                for sine in sines[:i]:
-                    part *= sine
-                row.append(part)
-            row.append(y[k + d] * tau)
-            out.append(row)
-        return out
+        # the part along a_(i+1) is (v_(i+1) sigma) sin a_1 ... sin a_i,
+        # multiplied left to right
+        return [[y[k], *(reduce(mul, sines[:i], y[k + 1 + i] * sigma)
+                         for i in range(d - 1)), y[k + d] * tau]
+                for k in starts]
 
     return parts
 

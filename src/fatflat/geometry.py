@@ -14,6 +14,7 @@ module provides randomized nonpositivity scans over coordinate boxes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,9 +110,10 @@ class MetricChart:
             return False
         if self.kind == CARTESIAN:
             return True
-        # polar: all hyperspherical angles except the last live in (0, pi)
+        # polar: angles but the last in (0, pi), with sin^2 a normal double
         return bool(coords[0] >= R_MIN) and all(
-            0.0 < a < math.pi for a in coords[1:self.block_dim - 1])
+            0.0 < a < math.pi and math.sin(a) ** 2 >= sys.float_info.min
+            for a in coords[1:self.block_dim - 1])
 
     def point(self, coords) -> "ChartPoint":
         coords = np.asarray(coords, dtype=float)
@@ -714,8 +716,9 @@ def adapted_components_raw(chart: MetricChart, coords: np.ndarray,
     last axis the radial part, the sphere part, then the axis part.  Only
     inner products of sphere parts are frame-independent.  Leading axes of
     coords, sigma and tau, and of vecs before its row axis, index a batch of
-    points.  This is the one metric inner product: g(a, b) is the dot
-    product of the parts of a and b."""
+    points.  g(a, b) is the dot product of the parts of a and b; this is
+    the batch route of the scans, and :mod:`fatflat.flow` forms the same
+    parts in plain floats."""
     vecs = np.asarray(vecs, dtype=float)
     sigma = np.asarray(sigma)[..., None]
     tau = np.asarray(tau)[..., None]

@@ -508,6 +508,16 @@ class TestHolonomyCommand:
         assert cli._cylinder_from({"angles": (1.0, 2.0), "length": 1.0,
                                    "k": 19.0}).n == 2
 
+    def test_default_holonomy_is_orthogonal_to_the_bit(self, tmp_path):
+        # transport along the core is the identity, so H is the rotation
+        # [[c, -s], [s, c]]; summed in plain floats H^T H - I is exactly 0,
+        # where a BLAS kernel with fused multiply-adds read 3.3e-17
+        code, out = run_to_file(tmp_path, "hol.json", ["holonomy"])
+        assert code == 0
+        checks = {c["name"]: c for c in load_report(out)["checks"]}
+        assert checks["cylinder.core_holonomy_orthogonal"][
+            "worst_value"] == 0.0
+
 
 class TestFiniteFieldCommand:
     def test_prime_modulus_passes_all_checks(self, tmp_path):

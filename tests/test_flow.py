@@ -5,7 +5,11 @@ half-step rerun is repeated in-test) or matched against closed forms.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,7 +68,25 @@ FROZEN_FLAT_TUBE_END_POSITION = [
 FROZEN_FLAT_TUBE_END_VELOCITY = [
     "0x1.0624dd2f1a9fcp-8", "0x1.89374bc6a7efap-9", "-0x1.0624dd2f1a9fcp-9",
     "0x1.0624dd2f1a9fcp-10", "0x1.0000000000000p+0"]
-FROZEN_FLAT_TUBE_DEFECT = "0x1.1000000000000p-53"
+# the exact defect is 0: the tube is Euclidean and the frame comes back
+# unchanged; its Gram summed from 0.0 left to right reads 2^-53 off, and
+# through numpy read 0x1.1p-53 with Haswell's BLAS kernel and 0x1.0p-51
+# with Nehalem's
+FROZEN_FLAT_TUBE_DEFECT = "0x1.0000000000000p-53"
+
+# the orbits benchmark's parallel_transport operation at seed 0: a
+# metric-orthonormal frame carried along a unit-speed geodesic of the k=19
+# ramp on polar n = 1 for T = 1, step 1e-3; through numpy its defect read
+# 0x1.64p-46 with Haswell's BLAS kernel and 0x1.68p-46 with Nehalem's
+RAMP_TRANSPORT_POSITION = ["0x1.6d4fbcbfc52e6p+2", "0x1.eeec0cf0049e8p+1",
+                           "0x0.0p+0"]
+RAMP_TRANSPORT_VELOCITY = ["0x1.90c80405bb5d2p-3", "-0x1.863369eb256a8p-4",
+                           "0x1.9c639d557fbd3p-5"]
+RAMP_TRANSPORT_FRAME = [
+    ["0x1.5c0eca0ce53a3p-7", "-0x1.581407d7cf462p-4", "-0x1.aa8ee19d3ee86p-4"],
+    ["-0x1.5182992ce6322p-4", "0x1.c9142b644c531p-5", "-0x1.3eb9b62ab4de9p-3"],
+    ["-0x1.fe3ad97ceab88p-1", "-0x1.6907c9633377ep-8", "0x1.814ae59e35325p-7"]]
+FROZEN_RAMP_TRANSPORT_DEFECT = "0x1.6800000000000p-46"
 
 # U(T) and its traces along the axis of the k=19 Cartesian chart (n = 1,
 # unit speed, T = 0.25, step 1e-3, unit c0)
@@ -586,6 +608,41 @@ def flat_tube_start(profile):
     return (MetricChart.cartesian(profile, 2),
             PhaseState(np.array([0.012, -0.007, 0.004, 0.002, 0.3]),
                        np.array([0.004, 0.003, -0.002, 0.001, 1.0])))
+
+
+def transport_defects():
+    """float.hex of the orthogonality defects of the flat-tube transport
+    and of the ramp transport."""
+    ramp = WarpingProfile.interpolated(19.0)
+    tube = flow.parallel_transport(flow.integrate_geodesic(
+        *flat_tube_start(ramp), 1.0, record_every=10 ** 9), FLAT_TUBE_FRAME)
+    start = PhaseState(*(list(map(float.fromhex, xs)) for xs in (
+        RAMP_TRANSPORT_POSITION, RAMP_TRANSPORT_VELOCITY)))
+    frame = [list(map(float.fromhex, row)) for row in RAMP_TRANSPORT_FRAME]
+    orbit = flow.parallel_transport(flow.integrate_geodesic(
+        MetricChart.polar(ramp, 1), start, 1.0, record_every=10 ** 9), frame)
+    return (tube.orthogonality_defect.hex(),
+            orbit.orthogonality_defect.hex())
+
+
+def test_transport_defects_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernel for the CPU at load time, and
+    # OPENBLAS_CORETYPE overrides the pick: Haswell's kernel and later ones
+    # round a sum of products through fused multiply-adds, Nehalem's does
+    # not.  flow's Gram matrices take plain float sums, so a child process
+    # on Nehalem's kernel reads the same bits; where numpy's BLAS is not
+    # OpenBLAS the variable changes nothing and both sides agree anyway
+    here = transport_defects()
+    assert here == (FROZEN_FLAT_TUBE_DEFECT, FROZEN_RAMP_TRANSPORT_DEFECT)
+    tests = Path(__file__).resolve().parent
+    package_root = Path(flow.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+           "PYTHONPATH": os.pathsep.join(map(str, (package_root, tests)))}
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import test_flow; print(*test_flow.transport_defects())"],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert tuple(child.stdout.split()) == here
 
 
 class TestFlatPiece:

@@ -264,9 +264,9 @@ class TestChristoffel:
     @given(profile=st.sampled_from(sorted(DIAGONAL_PROFILES)),
            kind=st.sampled_from(sorted(DIAGONAL_CHARTS)),
            r=st.floats(1e-3, 300.0),
-           angles=st.lists(st.floats(0.0, math.pi, exclude_min=True,
-                                     exclude_max=True), min_size=4,
-                           max_size=4),
+           # the chart's angles: each sin^2 a normal double
+           angles=st.lists(st.floats(1.5e-154, math.pi, exclude_max=True),
+                           min_size=4, max_size=4),
            last=st.floats(0.0, 2 * math.pi), z=st.floats(-5.0, 5.0))
     def test_diagonal_route_is_the_dense_route(self, profile, kind, r,
                                                angles, last, z):
@@ -276,7 +276,7 @@ class TestChristoffel:
         if np.isfinite(dense).all():
             # bytes, so the sign of every zero counts too
             assert gamma.tobytes() == dense.tobytes()
-        else:  # an angle so close to a pole that sin^2 underflows
+        else:  # angles so close to a pole that a product of sin^2 underflows
             assert not np.isfinite(gamma).all()
 
     @pytest.mark.parametrize("kind", sorted(DIAGONAL_CHARTS))
@@ -697,6 +697,20 @@ class TestSectionalCurvature:
 # ---------------------------------------------------------------------------
 
 class TestChartMaps:
+    @pytest.mark.parametrize("theta", [1e-170, 1.49e-154])
+    def test_angle_with_a_subnormal_sine_square_is_outside(self, four_d_19,
+                                                            theta):
+        # sin^2 theta below the least normal double: at 1e-170 it is 0.0,
+        # g_(phi phi) reads 0.0 and analytic riemann divides by zero
+        with pytest.raises(ChartDomainError):
+            four_d_19.point([2.0, theta, 0.5, 0.0])
+
+    @pytest.mark.parametrize("theta", [1e-150, 1.5e-154])
+    def test_angle_with_a_normal_sine_square_is_inside(self, four_d_19,
+                                                        theta):
+        g = geometry.metric_tensor(four_d_19.point([2.0, theta, 0.5, 0.0]))
+        assert np.all(np.diag(g) > 0.0)
+
     @pytest.mark.parametrize("block_dim", [2, 3, 4, 6])
     def test_jacobian_is_the_derivative_of_the_map(self, block_dim):
         # central differences of the polar -> Cartesian map, and orthogonal

@@ -196,6 +196,21 @@ def test_riccati_stage_forms_no_matrix_product():
     assert [matrix_products(segment) for segment in stage] == [[]] * 4
 
 
+def test_flow_metric_helpers_form_no_matrix_product():
+    # the Gram matrices and the Riccati start frame take flow's own
+    # plain-float adapted parts and dot products from 0.0, for the reason
+    # above; with no numpy arithmetic left, no errstate block either
+    source = (SRC / "flow.py").read_text(encoding="utf-8")
+    helpers = [ast.get_source_segment(source, node)
+               for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)
+               and node.name in {"_scales", "_gram", "_normal_frame"}]
+    assert len(helpers) == 3
+    assert [matrix_products(segment) for segment in helpers] == [[]] * 3
+    assert not [segment for segment in helpers if "errstate" in segment]
+    assert "_adapted_vectors" not in source
+
+
 def test_diagonal_christoffel_forms_no_matrix_product(monkeypatch):
     # a polar chart's Gamma has three nonzero entries per nonzero
     # d_k g_ii, each a plain float product; riemann_fd takes Gamma at the
