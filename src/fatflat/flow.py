@@ -18,14 +18,17 @@ object ``_FLAT_COEFFS``, and a stage there returns zero rates without
 calling the form.  The comparison operator's curvature term M is built in
 closed form and in plain floats from one radial jet per stage by one
 curvature form per chart kind: the profile's four principal ratios times
-Gram matrices of the frame's adapted components, grouped as in
-:func:`fatflat.geometry.curvature_numerator`.  U U is summed in plain
-floats too, so no step of a Riccati stage goes through numpy.
+Gram matrices of the frame's adapted components, by
+:func:`fatflat.geometry.curvature_numerator` itself, which the scans call
+too (polar n = 1 writes the same sum out).  U U is summed in plain floats
+too, so no step of a Riccati stage goes through numpy.
 
-Every metric inner product g(a, b) is the plain-float dot product, from 0.0
-left to right, of the adapted parts of a and b as :func:`_adapted_parts`
-forms them, with sigma and tau from the scalar radial jet: no metric matrix
-is formed, and no BLAS kernel rounds an inner product.
+Every metric inner product g(a, b) is :func:`fatflat.geometry._dot`, from
+0.0 left to right, of the adapted parts of a and b from
+:func:`fatflat.geometry.adapted_components_raw` in the frame that
+:func:`_adapted_parts` picks, with sigma and tau from the scalar radial
+jet: no metric matrix is formed, and no BLAS kernel rounds an inner
+product.
 
 Chart policy: the Cartesian chart is regular across the axis and is the
 right place to integrate whenever an orbit may approach radius zero; the
@@ -45,7 +48,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, repeat
-from operator import add, mul
+from operator import add
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,11 +61,14 @@ from .geometry import (
     MetricChart,
     NonFiniteRadiusError,
     _FLAT_COEFFS,
+    _dot,
     _overflow_error,
+    adapted_components_raw,
     axis_coefficient_jets,
     axis_jet_ratios,
     cartesian_to_polar,
     christoffel,
+    curvature_numerator,
     polar_to_cartesian,
 )
 
@@ -252,14 +258,6 @@ def normalize_velocity(chart: MetricChart, position, velocity) -> np.ndarray:
 # rounds as the quadratic form does (at w = v, the sum -(l*vr)*wt - (l*wr)*vt
 # is -2*l*vr*vt bit for bit).  The diagonal chart's form is the
 # warped-product connection (O'Neill, Semi-Riemannian Geometry, Prop. 7.35).
-
-
-def _dot(a, b) -> float:
-    """Left-to-right dot product of two float sequences."""
-    s = 0.0
-    for p, q in zip(a, b):
-        s += p * q
-    return s
 
 
 def _connection(chart: MetricChart) -> Tuple[Callable, Callable]:
@@ -562,33 +560,23 @@ def _normal_frame(chart: MetricChart, position: np.ndarray,
 def _adapted_parts(chart: MetricChart, rows: int) -> Callable:
     """parts(y, r, sigma, tau): the adapted parts (radial, sphere, axis) of
     the ``rows`` vectors after the position in the flat state y, in plain
-    floats, formed as :func:`geometry.adapted_components_raw` forms them."""
+    floats, from :func:`geometry.adapted_components_raw` in the frame
+    chosen here."""
     d, dim = chart.block_dim, chart.dim
     starts = range(dim, (1 + rows) * dim, dim)
-    if chart.kind == CARTESIAN:
-        def parts(y, r, sigma, tau):
-            # the metric is isotropic within R_MIN of the axis: there any
-            # unit radial direction with sigma/r = 1 gives its inner products
-            if r < R_MIN:
-                xhat, ratio = [1.0] + [0.0] * (d - 1), 1.0
-            else:
-                xhat, ratio = [e / r for e in y[:d]], sigma / r
-            out = []
-            for k in starts:
-                vr = _dot(vb := y[k:k + d], xhat)
-                out.append([vr, *(ratio * (e - vr * x) for e, x in
-                                  zip(vb, xhat)), y[k + d] * tau])
-            return out
-
-        return parts
+    cartesian, axis = chart.kind == CARTESIAN, [1.0] + [0.0] * (d - 1)
 
     def parts(y, r, sigma, tau):
-        sines = [math.sin(a) for a in y[1:d - 1]]
-        # the part along a_(i+1) is (v_(i+1) sigma) sin a_1 ... sin a_i,
-        # multiplied left to right
-        return [[y[k], *(reduce(mul, sines[:i], y[k + 1 + i] * sigma)
-                         for i in range(d - 1)), y[k + d] * tau]
-                for k in starts]
+        if not cartesian:
+            frame, scale = [math.sin(a) for a in y[1:d - 1]], sigma
+        # the Cartesian metric is isotropic within R_MIN of the axis: there
+        # any unit radial direction with sigma/r = 1 gives its inner products
+        elif r < R_MIN:
+            frame, scale = axis, 1.0
+        else:
+            frame, scale = [e / r for e in y[:d]], sigma / r
+        return adapted_components_raw(chart, frame, scale, tau,
+                                      [y[k:k + dim] for k in starts])
 
     return parts
 
@@ -596,12 +584,11 @@ def _adapted_parts(chart: MetricChart, rows: int) -> Callable:
 def _curvature(chart: MetricChart, m: int) -> Callable:
     """curvature(y, r, jet, ratios): M[i, j] = R(w_i, v, w_j, v), row-major,
     for the velocity v and the ``m`` frame rows w_i after the position in
-    the flat state y, in plain floats: the sum k1 P1 + k2 (vv S - a a^T)
-    + k3 P3 + k4 P4 of :func:`geometry.curvature_numerator` in their adapted
-    parts, grouped as it groups it, each of its matrix products a dot
-    product from 0.0.  On polar n = 1 each such product has one term, and
-    the form is written out in scalars: the 0.0 start stays where it turns
-    a -0.0 product into +0.0, and a square, never -0.0, goes without it."""
+    the flat state y, in plain floats: :func:`geometry.curvature_numerator`
+    of their adapted parts.  On polar n = 1 each of its dot products has
+    one term, and the same sum is written out in scalars, bit for bit: the
+    0.0 start stays where it turns a -0.0 product into +0.0, and a square,
+    never -0.0, goes without it."""
     if chart.kind == POLAR and chart.block_dim == 2:
         def curvature(y, r, jet, ratios):
             k1, k2, k3, k4 = ratios
@@ -626,25 +613,8 @@ def _curvature(chart: MetricChart, m: int) -> Callable:
     adapted_parts = _adapted_parts(chart, m + 1)
 
     def curvature(y, r, jet, ratios):
-        k1, k2, k3, k4 = ratios
-        (vr, *vs, vz), *rows = adapted_parts(y, r, jet[0], jet[3])
-        vv = _dot(vs, vs)
-        ws, p1, a, p3, p4 = [], [], [], [], []
-        for wr, *w, wz in rows:
-            ws.append(w)
-            p1.append([wr * e - vr * f for e, f in zip(vs, w)])
-            a.append(_dot(w, vs))
-            p3.append(wr * vz - vr * wz)
-            p4.append([wz * e - vz * f for e, f in zip(vs, w)])
-        out = [0.0] * (m * m)
-        for i in range(m):  # M is symmetric: each product commutes
-            for j in range(i, m):
-                out[i * m + j] = out[j * m + i] = (
-                    k1 * _dot(p1[i], p1[j])
-                    + k2 * (vv * _dot(ws[i], ws[j]) - a[i] * a[j])
-                    + k3 * (p3[i] * p3[j])
-                    + k4 * _dot(p4[i], p4[j]))
-        return out
+        v, *ws = adapted_parts(y, r, jet[0], jet[3])
+        return [*chain(*curvature_numerator(ratios, ws, v))]
 
     return curvature
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -48,6 +50,15 @@ class NonFiniteRadiusError(ChartDomainError):
 
 class DegeneratePlaneError(ValueError):
     """Raised when two vectors do not span a 2-plane."""
+
+
+def _dot(a, b):
+    """Sum of the products a[i] * b[i] of floats or, elementwise, arrays,
+    left to right from 0.0, so that no BLAS kernel picks the order."""
+    s = 0.0
+    for p, q in zip(a, b):
+        s += p * q
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +106,12 @@ class MetricChart:
 
     def radius_of(self, coords: np.ndarray) -> float | np.ndarray:
         """Distance from the axis encoded by the coordinates: a float for
-        one point, a new array over the leading axes of a batch."""
+        one point, a new array over the leading axes of a batch; on the
+        Cartesian chart sqrt(_dot(x, x)), as :mod:`fatflat.flow` takes it."""
         coords = np.asarray(coords, dtype=float)
         if self.kind == CARTESIAN:
-            x = coords[..., : self.block_dim]
-            r = np.sqrt(np.vecdot(x, x))
+            x = np.moveaxis(coords[..., : self.block_dim], -1, 0)
+            r = np.sqrt(_dot(x, x))
         else:
             r = coords[..., 0].copy()
         return float(r) if r.ndim == 0 else r
@@ -110,10 +122,12 @@ class MetricChart:
             return False
         if self.kind == CARTESIAN:
             return True
-        # polar: angles but the last in (0, pi), with sin^2 a normal double
+        # polar: angles but the last in (0, pi), with the product of their
+        # sin^2, left to right, a normal double (then so is each partial one)
+        angles = coords[1:self.block_dim - 1].tolist()
         return bool(coords[0] >= R_MIN) and all(
-            0.0 < a < math.pi and math.sin(a) ** 2 >= sys.float_info.min
-            for a in coords[1:self.block_dim - 1])
+            0.0 < a < math.pi for a in angles) and math.prod(
+                math.sin(a) ** 2 for a in angles) >= sys.float_info.min
 
     def point(self, coords) -> "ChartPoint":
         coords = np.asarray(coords, dtype=float)
@@ -584,22 +598,35 @@ def _adapted_vectors(chart: MetricChart, coords: np.ndarray,
     """Adapted parts of a batch of vector stacks, one radial jet per point.
 
     coords is (N, dim) and vecs (N, m, dim).  Returns (a, ratios, radii,
-    finite): a[p, i] holds the adapted parts of vecs[p, i], so metric inner
-    products are plain dot products of its rows; ratios[p] holds the four
-    principal ratios, all equal at isotropic points; finite marks the
-    points whose metric scales, and the squared lengths of whose vectors,
-    are finite.
+    finite): a[i] holds the adapted parts of the vectors vecs[:, i] from
+    :func:`adapted_components_raw`, each part a column over the N points,
+    so metric inner products are :func:`_dot` products of them; ratios
+    holds the four principal ratios as four such columns, all equal at
+    isotropic points; finite marks the points whose metric scales, and the
+    squared lengths of whose vectors, are finite.
     """
     radii = chart.radius_of(coords)
     jets = np.array([_scales_and_ratios(chart.profile, r)
-                     for r in radii.tolist()])
-    sigma, tau, ratios = jets[:, 0], jets[:, 1], jets[:, 2:]
-    if chart.kind == CARTESIAN:  # every plane near the axis reads k1
-        ratios[radii < R_MIN] = ratios[radii < R_MIN, :1]
+                     for r in radii.tolist()]).T
+    sigma, tau, ratios = jets[0], jets[1], jets[2:]
+    d = chart.block_dim
     with np.errstate(over="ignore", invalid="ignore"):
-        a = adapted_components_raw(chart, coords, vecs, sigma, tau)
+        if chart.kind == CARTESIAN:
+            # the metric is isotropic within R_MIN of the axis: there any
+            # unit radial direction with sigma/r = 1 gives its inner
+            # products, and every plane reads k1
+            axis = radii < R_MIN
+            ratios[:, axis] = ratios[:1, axis]
+            r = np.where(axis, 1.0, radii)
+            frame = np.where(axis, np.eye(d, 1), coords[:, :d].T / r)
+            scale = np.where(axis, 1.0, sigma / r)
+        else:
+            frame = [np.sin(coords[:, j]) for j in range(1, d - 1)]
+            scale = sigma
+        a = adapted_components_raw(chart, frame, scale, tau,
+                                   np.moveaxis(vecs, 0, -1))
         finite = (np.isfinite(sigma * sigma) & np.isfinite(tau * tau)
-                  & np.all(np.isfinite(np.vecdot(a, a)), axis=-1))
+                  & np.all([np.isfinite(_dot(p, p)) for p in a], axis=0))
     return a, ratios, radii, finite
 
 
@@ -613,20 +640,20 @@ def _scales_and_ratios(profile: WarpingProfile, r: float):
     return (jet[0], jet[3], *ratios)
 
 
-def _plane_curvatures(a: np.ndarray, ratios: np.ndarray):
-    """(K, Gram determinant) of the planes spanned by a[p, 0] and a[p, 1],
-    adapted vectors as from :func:`_adapted_vectors`; both vectors are
-    normalized first."""
+def _plane_curvatures(a, ratios: np.ndarray):
+    """(K, Gram determinant) of the planes spanned by the two vectors whose
+    adapted parts are a[0] and a[1], columns over a batch of points as from
+    :func:`_adapted_vectors`; both vectors are normalized first."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a = a / np.sqrt(np.vecdot(a, a))[..., None]
-        gram = a @ a.mT
-        denom = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 0, 1]
-        num = curvature_numerator(ratios.T[..., None, None], a[:, :1],
-                                  a[:, 1])[:, 0, 0]
+        norms = [np.sqrt(_dot(p, p)) for p in a]
+        u, v = ([e / n for e in p] for p, n in zip(a, norms))
+        uv = _dot(u, v)
+        denom = _dot(u, u) * _dot(v, v) - uv * uv
+        num = curvature_numerator(ratios, [u], v)[0][0]
         # where the four ratios agree (the flat tube, the hyperbolic piece,
         # the axis) every plane has that curvature
-        isotropic = np.all(ratios == ratios[:, :1], axis=1)
-        k = np.where(isotropic, ratios[:, 0], num / denom)
+        isotropic = np.all(ratios == ratios[:1], axis=0)
+        k = np.where(isotropic, ratios[0], num / denom)
     return k, denom
 
 
@@ -709,70 +736,62 @@ def max_plane_curvature(profile: WarpingProfile, r: float) -> float:
     return max(profile.curvature_ratios(r))
 
 
-def adapted_components_raw(chart: MetricChart, coords: np.ndarray,
-                           vecs: np.ndarray, sigma, tau) -> np.ndarray:
-    """Adapted parts of the rows of ``vecs`` in an orthonormal frame adapted
-    to the warped splitting, given sigma and tau at the point: along the
-    last axis the radial part, the sphere part, then the axis part.  Only
-    inner products of sphere parts are frame-independent.  Leading axes of
-    coords, sigma and tau, and of vecs before its row axis, index a batch of
-    points.  g(a, b) is the dot product of the parts of a and b; this is
-    the batch route of the scans, and :mod:`fatflat.flow` forms the same
-    parts in plain floats."""
-    vecs = np.asarray(vecs, dtype=float)
-    sigma = np.asarray(sigma)[..., None]
-    tau = np.asarray(tau)[..., None]
+def adapted_components_raw(chart: MetricChart, frame, scale, tau,
+                           vectors) -> list:
+    """Adapted parts [radial, sphere parts..., axis] of each of ``vectors``
+    in an orthonormal frame adapted to the warped splitting, so that g(a, b)
+    is :func:`_dot` of the parts of a and b (only inner products of sphere
+    parts are frame-independent).  The caller picks the frame: x-hat, with
+    ``scale`` sigma/r, on the Cartesian chart; on a polar chart the sines of
+    the angles but the last, with ``scale`` sigma.  Every component is a
+    float or an array over a batch of points; :mod:`fatflat.flow` and the
+    scans round each part by this one formula."""
     d = chart.block_dim
     if chart.kind == CARTESIAN:
-        r = np.asarray(chart.radius_of(coords))[..., None]
-        # the metric is isotropic within R_MIN of the axis: there any unit
-        # radial direction with sigma/r = 1 gives its inner products
-        axis = r < R_MIN
-        r = np.where(axis, 1.0, r)
-        xhat = np.where(axis, np.eye(d)[0], coords[..., :d] / r)
-        ratio = np.where(axis, 1.0, sigma / r)
-        vr = (vecs[..., :d] @ xhat[..., None])[..., 0]
-        a_s = ratio[..., None] * (vecs[..., :d]
-                                  - vr[..., None] * xhat[..., None, :])
-    else:
-        vr = vecs[..., 0]
-        sines = [np.sin(coords[..., j:j + 1]) for j in range(1, d - 1)]
-        a_s = np.empty(vecs.shape[:-1] + (d - 1,))
-        for i in range(d - 1):
-            # the part along a_(i+1) is (v_(i+1) sigma) sin a_1 ... sin a_i,
-            # multiplied left to right
-            part = vecs[..., 1 + i] * sigma
-            for sine in sines[:i]:
-                part = part * sine
-            a_s[..., i] = part
-    az = vecs[..., d] * tau
-    return np.concatenate([vr[..., None], a_s, az[..., None]], axis=-1)
+        out = []
+        for v in vectors:
+            vr = _dot(v[:d], frame)
+            out.append([vr, *(scale * (e - vr * x)
+                              for e, x in zip(v[:d], frame)), v[d] * tau])
+        return out
+    # the part along a_(i+1) is (v_(i+1) sigma) sin a_1 ... sin a_i,
+    # multiplied left to right
+    return [[v[0], *(reduce(mul, frame[:i], v[1 + i] * scale)
+                     for i in range(d - 1)), v[d] * tau] for v in vectors]
 
 
-def curvature_numerator(ratios, w, v) -> np.ndarray:
-    """M[i, j] = R(w_i, v, w_j, v) from the adapted parts (as from
-    :func:`adapted_components_raw`) of a stack of vectors w_i and of one
-    vector v; R(u, v, u, v) is the 1 x 1 case.  Leading axes of w and v
-    index a batch, and then each ratio broadcasts against M (shape
-    (..., 1, 1)).
+def curvature_numerator(ratios, ws, v) -> list:
+    """M[i][j] = R(w_i, v, w_j, v) from the adapted parts (as from
+    :func:`adapted_components_raw`, floats or arrays) of the vectors w_i in
+    ``ws`` and of v; R(u, v, u, v) is the 1 x 1 case.
 
     Each principal ratio multiplies the Gram matrix of the planes' shadows
     on its coordinate 2-plane: rows w_r[i] v_s - v_r w_s[i] (k1), sphere
     areas |v_s|^2 W_s W_s^T - a a^T with a = W_s v_s (k2), entries
-    w_r[i] v_z - v_r w_z[i] (k3) and rows w_z[i] v_s - v_z w_s[i] (k4).
+    w_r[i] v_z - v_r w_z[i] (k3) and rows w_z[i] v_s - v_z w_s[i] (k4),
+    summed in that order, each product of rows a :func:`_dot`; M is filled
+    symmetrically, as each product commutes.
     """
     k1, k2, k3, k4 = ratios
-    wr, ws, wz = w[..., 0], w[..., 1:-1], w[..., -1]
-    vr, vs, vz = v[..., :1], v[..., 1:-1], v[..., -1:]
-    p1 = wr[..., :, None] * vs[..., None, :] - vr[..., None] * ws
-    a = (ws @ vs[..., :, None])[..., 0]
-    p3 = wr * vz - vr * wz
-    p4 = wz[..., :, None] * vs[..., None, :] - vz[..., None] * ws
-    vv = np.vecdot(vs, vs)[..., None, None]
-    return (k1 * (p1 @ p1.mT)
-            + k2 * (vv * (ws @ ws.mT) - a[..., :, None] * a[..., None, :])
-            + k3 * (p3[..., :, None] * p3[..., None, :])
-            + k4 * (p4 @ p4.mT))
+    vr, *vs, vz = v
+    vv = _dot(vs, vs)
+    sphere, p1, a, p3, p4 = [], [], [], [], []
+    for wr, *w, wz in ws:
+        sphere.append(w)
+        p1.append([wr * e - vr * f for e, f in zip(vs, w)])
+        a.append(_dot(w, vs))
+        p3.append(wr * vz - vr * wz)
+        p4.append([wz * e - vz * f for e, f in zip(vs, w)])
+    m = len(ws)
+    out = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            out[i][j] = out[j][i] = (
+                k1 * _dot(p1[i], p1[j])
+                + k2 * (vv * _dot(sphere[i], sphere[j]) - a[i] * a[j])
+                + k3 * (p3[i] * p3[j])
+                + k4 * _dot(p4[i], p4[j]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -931,17 +950,20 @@ def _scan_block(chart: MetricChart, region: Box, seed: int, start: int,
         for j in np.flatnonzero(~finite):
             errors[int(todo[j])] = _overflow_error(radii[j])
         with np.errstate(over="ignore", invalid="ignore"):
-            u = a[:, 0] / np.sqrt(np.vecdot(a[:, 0], a[:, 0]))[:, None]
-            v = a[:, 1] - np.vecdot(u, a[:, 1])[:, None] * u
-            vnorm2 = np.vecdot(v, v)
+            first, second = a
+            norm = np.sqrt(_dot(first, first))
+            u = [e / norm for e in first]
+            s = _dot(u, second)
+            v = [e - s * f for e, f in zip(second, u)]
+            vnorm2 = _dot(v, v)
             # relative to the squared length of the second vector: rounding
             # left over from a v parallel to u scales with it
-            redraw = finite & (vnorm2 < _PLANE_TOL
-                               * np.vecdot(a[:, 1], a[:, 1]))
+            redraw = finite & (vnorm2 < _PLANE_TOL * _dot(second, second))
         done = np.flatnonzero(finite & ~redraw)
-        planes = np.stack([u[done], v[done] / np.sqrt(vnorm2[done])[:, None]],
-                          axis=1)
-        k, denom = _plane_curvatures(planes, ratios[done])
+        vnorm = np.sqrt(vnorm2[done])
+        k, denom = _plane_curvatures(
+            [[e[done] for e in u], [e[done] / vnorm for e in v]],
+            ratios[:, done])
         flat = ~(denom > _PLANE_TOL)
         for j, dj in zip(todo[done][flat], denom[flat]):
             errors[int(j)] = _parallel_error(dj)

@@ -71,3 +71,11 @@ def assert_close(actual, expected, rel=0.0, abs_tol=0.0):
     assert np.all(diff <= bound), (
         f"max deviation {np.max(diff - bound):.3e} beyond bound\n"
         f"actual={a!r}\nexpected={e!r}")
+
+
+def batch_parts(chart, coords, vecs):
+    """The adapted parts of the rows of ``vecs`` at one point, formed by the
+    scans' batch route as a batch of one: an array with a row per vector."""
+    a = geometry._adapted_vectors(chart, np.asarray(coords)[None],
+                                  np.asarray(vecs)[None])[0]
+    return np.array(a)[..., 0]

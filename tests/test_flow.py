@@ -4,6 +4,8 @@ Frozen constants are generated by step-refinement self-convergence (the
 half-step rerun is repeated in-test) or matched against closed forms.
 """
 
+import contextlib
+import io
 import math
 import os
 import re
@@ -16,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatflat import flow, geometry
+from fatflat import cli, flow, geometry
 from fatflat.flow import ChartExitError, PhaseState
 from fatflat.geometry import MetricChart
 from fatflat.profiles import WarpingProfile
 
-from conftest import assert_close
+from conftest import assert_close, batch_parts
 
 # rotation picked up by a frame carried once around the angular circle at
 # radius 2 (k=19 profile); matches -2*pi*sigma'(2) modulo full turns
@@ -625,24 +627,41 @@ def transport_defects():
             orbit.orthogonality_defect.hex())
 
 
+def report_all(seed):
+    """What ``fatflat report-all --seed seed`` writes to stdout, run in
+    this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        cli.run(["report-all", "--seed", str(seed)])
+    return out.getvalue()
+
+
 def test_transport_defects_do_not_depend_on_the_blas_kernel():
     # OpenBLAS picks its kernel for the CPU at load time, and
     # OPENBLAS_CORETYPE overrides the pick: Haswell's kernel and later ones
     # round a sum of products through fused multiply-adds, Nehalem's does
-    # not.  flow's Gram matrices take plain float sums, so a child process
-    # on Nehalem's kernel reads the same bits; where numpy's BLAS is not
-    # OpenBLAS the variable changes nothing and both sides agree anyway
+    # not.  flow's Gram matrices and the scans' adapted parts and curvature
+    # numerators take plain float sums, so a child process on Nehalem's
+    # kernel reads the same bits, and writes report-all --seed 1 (whose
+    # four_d scan worst value once moved with the kernel) byte for byte;
+    # where numpy's BLAS is not OpenBLAS the variable changes nothing and
+    # both sides agree anyway
     here = transport_defects()
     assert here == (FROZEN_FLAT_TUBE_DEFECT, FROZEN_RAMP_TRANSPORT_DEFECT)
+    report = report_all(1)
     tests = Path(__file__).resolve().parent
     package_root = Path(flow.__file__).resolve().parents[1]
     env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
            "PYTHONPATH": os.pathsep.join(map(str, (package_root, tests)))}
     child = subprocess.run(
         [sys.executable, "-c",
-         "import test_flow; print(*test_flow.transport_defects())"],
+         "import test_flow; print(*test_flow.transport_defects()); "
+         "print(test_flow.report_all(1), end='')"],
         env=env, capture_output=True, text=True, timeout=300, check=True)
-    assert tuple(child.stdout.split()) == here
+    defects, text = child.stdout.split("\n", 1)
+    assert tuple(defects.split()) == here
+    assert text.encode() == report.encode()
 
 
 class TestFlatPiece:
@@ -725,10 +744,9 @@ class TestCurvatureTerm:
                                          "ramp19"])
     def test_float_term_matches_curvature_numerator(self, request, variant):
         # the Riccati stage's plain-float M, from each chart's curvature
-        # form, against the array route of geometry.curvature_numerator:
-        # bit for bit on polar n = 1, where each matrix product has one
-        # term, and elsewhere on the Cauchy-Schwarz scale
-        # sum |k| |w_i| |w_j| |v|^2 of each entry
+        # form, against geometry.curvature_numerator on the scans' batch
+        # route (numpy columns, np.sin and np.where frames): bit for bit and
+        # sign for sign on every chart, the written-out polar n = 1 form too
         profile = request.getfixturevalue(variant)
         rng = np.random.default_rng(41)
         charts = [MetricChart.polar(profile, 1),
@@ -747,22 +765,14 @@ class TestCurvatureTerm:
                 vecs = (rng.standard_normal((m + 1, chart.dim))
                         * 10.0 ** rng.uniform(-4, 4, (m + 1, 1)))
                 y = pos.tolist() + vecs.ravel().tolist()
-                r = y[0] if polar else math.sqrt(flow._dot(y[:d], y[:d]))
+                r = y[0] if polar else math.sqrt(geometry._dot(y[:d], y[:d]))
                 jet, ratios = profile.jet_ratios(r)
                 got = curvature(y, r, jet, ratios)
-                a = geometry.adapted_components_raw(chart, pos, vecs,
-                                                    jet[0], jet[3])
-                want = geometry.curvature_numerator(ratios, a[1:], a[0])
-                if polar and d == 2:
-                    assert got == want.ravel().tolist()
-                    assert np.array_equal(np.signbit(got),
-                                          np.signbit(want.ravel()))
-                    continue
-                norms = np.linalg.norm(a, axis=1)
-                scale = (sum(map(abs, ratios)) * norms[0] ** 2
-                         * np.outer(norms[1:], norms[1:]))
-                assert_close(np.reshape(got, (m, m)), want,
-                             abs_tol=1e-13 * scale)
+                a = batch_parts(chart, pos, vecs)
+                want = np.ravel(geometry.curvature_numerator(ratios, a[1:],
+                                                             a[0]))
+                assert got == want.tolist()
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_polar_form_keeps_the_zero_sign_of_an_underflowed_cross_term(
             self, hyperbolic_profile):
@@ -776,9 +786,8 @@ class TestCurvatureTerm:
         y = [3.0, 0.5, 0.1]
         for sphere in (1e-200, -1e-200, 1e100):
             y += [0.0, sphere / jet[0], 0.0]
-        a = geometry.adapted_components_raw(
-            chart, np.array(y[:3]), np.reshape(y[3:], (3, 3)), jet[0], jet[3])
-        want = geometry.curvature_numerator(ratios, a[1:], a[0]).ravel()
+        a = batch_parts(chart, y[:3], np.reshape(y[3:], (3, 3)))
+        want = np.ravel(geometry.curvature_numerator(ratios, a[1:], a[0]))
         got = flow._curvature(chart, 2)(y, 3.0, jet, ratios)
         assert got == want.tolist()
         assert hexes(got[:3]) == hexes(want[:3]) == [

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatflat import flow, geometry
@@ -16,7 +16,7 @@ from fatflat.geometry import (ChartDomainError, DegeneratePlaneError,
                               MetricChart)
 from fatflat.profiles import WarpingProfile
 
-from conftest import assert_close, sample_stream
+from conftest import assert_close, batch_parts, sample_stream
 
 
 def metric_inverse(point):
@@ -177,9 +177,7 @@ class TestMetricTensor:
                 x = np.array([*(r / np.linalg.norm(direction) * direction),
                               0.3])
                 vecs = rng.standard_normal((3, chart.dim))
-                st = profile.sigma_tau(chart.radius_of(x))
-                a = geometry.adapted_components_raw(chart, x, vecs, st[0],
-                                                    st[3])
+                a = batch_parts(chart, x, vecs)
                 g = geometry.metric_tensor(chart.point(x))
                 assert_close(a @ a.T, vecs @ g @ vecs.T, abs_tol=1e-14)
 
@@ -264,19 +262,22 @@ class TestChristoffel:
     @given(profile=st.sampled_from(sorted(DIAGONAL_PROFILES)),
            kind=st.sampled_from(sorted(DIAGONAL_CHARTS)),
            r=st.floats(1e-3, 300.0),
-           # the chart's angles: each sin^2 a normal double
+           # the chart's angles: each sin^2 a normal double, and so each
+           # running product of them (drawn, then kept if in the chart)
            angles=st.lists(st.floats(1.5e-154, math.pi, exclude_max=True),
                            min_size=4, max_size=4),
            last=st.floats(0.0, 2 * math.pi), z=st.floats(-5.0, 5.0))
     def test_diagonal_route_is_the_dense_route(self, profile, kind, r,
                                                angles, last, z):
         chart = DIAGONAL_CHARTS[kind](DIAGONAL_PROFILES[profile])
-        point = chart.point([r, *angles[:chart.block_dim - 2], last, z])
+        coords = [r, *angles[:chart.block_dim - 2], last, z]
+        assume(chart.contains(coords))
+        point = chart.point(coords)
         gamma, dense = geometry.christoffel(point), dense_christoffel(point)
         if np.isfinite(dense).all():
             # bytes, so the sign of every zero counts too
             assert gamma.tobytes() == dense.tobytes()
-        else:  # angles so close to a pole that a product of sin^2 underflows
+        else:  # sigma^2 times a small product of sin^2 leaves double range
             assert not np.isfinite(gamma).all()
 
     @pytest.mark.parametrize("kind", sorted(DIAGONAL_CHARTS))
@@ -511,10 +512,9 @@ def operator_point(profile, kind, r, rng):
 
 
 def closed_form_operator(chart, coords, v, w_rows):
-    jet, ratios = chart.profile.jet_ratios(chart.radius_of(coords))
-    a = geometry.adapted_components_raw(
-        chart, coords, np.vstack([v, w_rows]), jet[0], jet[3])
-    return (geometry.curvature_numerator(ratios, a[1:], a[0]),
+    _, ratios = chart.profile.jet_ratios(chart.radius_of(coords))
+    a = batch_parts(chart, coords, np.vstack([v, w_rows]))
+    return (np.array(geometry.curvature_numerator(ratios, a[1:], a[0])),
             polarized_operator(ratios, a[1:], a[0]))
 
 
@@ -710,6 +710,22 @@ class TestChartMaps:
                                                         theta):
         g = geometry.metric_tensor(four_d_19.point([2.0, theta, 0.5, 0.0]))
         assert np.all(np.diag(g) > 0.0)
+
+    @pytest.mark.parametrize("angles", [(1e-100, 1e-100), (1e-150, 1e-150)])
+    def test_angles_whose_sine_square_product_underflows_are_outside(
+            self, ramp19, angles):
+        # each sin^2 is a normal double but their product, the factor of
+        # g_(a_3 a_3), is not: at (1e-100, 1e-100) it is 0.0, a velocity
+        # along a_3 would have zero length and riemann would divide by zero
+        chart = MetricChart.polar(ramp19, 2)
+        with pytest.raises(ChartDomainError):
+            chart.point([2.0, *angles, 0.5, 0.0])
+
+    def test_angles_whose_sine_square_product_is_normal_are_inside(
+            self, ramp19):
+        point = MetricChart.polar(ramp19, 2).point([2.0, 1e-100, 0.5, 0.5,
+                                                    0.0])
+        assert np.all(np.diag(geometry.metric_tensor(point)) > 0.0)
 
     @pytest.mark.parametrize("block_dim", [2, 3, 4, 6])
     def test_jacobian_is_the_derivative_of_the_map(self, block_dim):

@@ -149,12 +149,13 @@ def test_every_export_in_src_resolves():
     assert {name: names for name, names in stale.items() if names} == {}
 
 
-PRODUCT_CALLS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot"}
+PRODUCT_CALLS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot",
+                 "vecdot"}
 
 
 def matrix_products(source: str) -> list[int]:
     """Lines of the matrix products in a source: ``@``, ``@=``, and calls
-    named dot, matmul, einsum, inner, tensordot or vdot."""
+    named dot, matmul, einsum, inner, tensordot, vdot or vecdot."""
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, (ast.BinOp, ast.AugAssign))
@@ -168,8 +169,9 @@ def matrix_products(source: str) -> list[int]:
 
 def test_checker_flags_a_matrix_product():
     source = ("def f(v, w, np):\n    x = v * w\n    x @= w\n"
-              "    return np.einsum('ij,j', v, x) + v @ w + dot(v, w)\n")
-    assert matrix_products(source) == [3, 4]
+              "    return np.einsum('ij,j', v, x) + v @ w + dot(v, w)\n"
+              "def g(v, np):\n    return np.vecdot(v, v)\n")
+    assert matrix_products(source) == [3, 4, 6]
 
 
 def test_profiles_forms_no_matrix_product():
@@ -209,6 +211,23 @@ def test_flow_metric_helpers_form_no_matrix_product():
     assert [matrix_products(segment) for segment in helpers] == [[]] * 3
     assert not [segment for segment in helpers if "errstate" in segment]
     assert "_adapted_vectors" not in source
+
+
+def test_curvature_scan_route_forms_no_matrix_product():
+    # the scans and flow share geometry's adapted parts and curvature
+    # numerator, and take every sum over a vector's few components as a
+    # _dot from 0.0 over columns of the batch, for the reason above: the
+    # same bits under every BLAS kernel, and the same as flow's floats
+    source = (SRC / "geometry.py").read_text(encoding="utf-8")
+    names = {"radius_of", "_adapted_vectors", "_plane_curvatures",
+             "adapted_components_raw", "curvature_numerator", "_scan_block"}
+    route = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.FunctionDef) and node.name in names]
+    assert sorted(node.name for node in route) == sorted(names)
+    segments = [ast.get_source_segment(source, node) for node in route]
+    assert [matrix_products(segment) for segment in segments] == [[]] * 6
+    assert not [node for node in route for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and sub.attr == "mT"]
 
 
 def test_diagonal_christoffel_forms_no_matrix_product(monkeypatch):
@@ -347,7 +366,9 @@ def test_checker_reads_a_dependency_floor():
 
 
 def test_numpy_floor_has_vecdot_and_mT():
-    # geometry and flow call np.vecdot and ndarray.mT, new in numpy 2.0
+    # src/ no longer calls np.vecdot or ndarray.mT; the floor stays at 2.0,
+    # as every frozen bit pattern in tests/ and every byte-identical report
+    # is checked under numpy 2's scalar promotion rules (NEP 50) only
     pyproject = (SRC.parent.parent / "pyproject.toml").read_text(
         encoding="utf-8")
     assert dependency_floor(pyproject, "numpy") >= (2, 0)
